@@ -315,7 +315,7 @@ func RunWithOptions(cfg Config, opts Options) (*Report, error) {
 					rec.Failed, rec.Error = true, err.Error()
 				} else {
 					rec.Events = a.NumEvents
-					rec.Races = len(a.Races)
+					rec.Races = int(a.NumRaces())
 					rec.DataRaces = len(a.DataRaces)
 					rec.Partitions = len(a.Partitions)
 					rec.FirstPartitions = len(a.FirstPartitions)

@@ -68,11 +68,8 @@ func (a *Analysis) Unaffected(ri int) bool {
 }
 
 // RaceOfPartition returns the index of the partition containing data race
-// ri, or -1 if ri is not a data race.
+// ri (every entry of Races is a data race, so every one has a partition).
 func (a *Analysis) RaceOfPartition(ri int) int {
-	if !a.Races[ri].Data {
-		return -1
-	}
 	comp := a.AugSCC.Comp[int(a.Races[ri].A)]
 	for pi := range a.Partitions {
 		if a.Partitions[pi].Component == comp {

@@ -109,10 +109,13 @@ func TestRaceOfPartitionSyncRace(t *testing.T) {
 		[]*trace.Event{syncEv(memmodel.RoleSyncOther, 0, 1)},
 	)
 	a := analyze(t, tr, Options{})
-	if len(a.Races) != 1 {
-		t.Fatalf("races = %d", len(a.Races))
+	// The sync race is counted, not listed: Races holds data races only,
+	// so no race index can name it and no partition contains it.
+	if a.NumRaces() != 1 || a.SyncRaces != 1 || len(a.Races) != 0 {
+		t.Fatalf("races = %d (sync %d, listed %d), want 1 sync race, none listed",
+			a.NumRaces(), a.SyncRaces, len(a.Races))
 	}
-	if got := a.RaceOfPartition(0); got != -1 {
-		t.Fatalf("sync race partition = %d, want -1", got)
+	if len(a.Partitions) != 0 {
+		t.Fatalf("sync race formed %d partitions", len(a.Partitions))
 	}
 }

@@ -27,9 +27,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
-	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,14 +56,13 @@ type Options struct {
 	// e.g. straight from the decoder, on hot benchmark paths).
 	SkipValidate bool
 	// Workers bounds the parallelism of every parallel pass inside one
-	// analysis: the timestamp layer's span fill, the (location, segment-
-	// pair)-sharded race sweep, and the sweep's merge, radix sort, and
-	// coalesce. 0 uses GOMAXPROCS; 1 forces the sequential paths. The
-	// Analysis is byte-identical for every worker count: workers produce
-	// commutative partial results (per-pair location sets and data flags)
-	// that are merged and then sorted deterministically, and the fill and
-	// coalesce write disjoint ranges of slabs whose contents do not
-	// depend on the schedule.
+	// analysis: the timestamp layer's span fill and the (location, segment-
+	// pair)-sharded race sweep scan. 0 uses GOMAXPROCS; 1 forces the
+	// sequential paths. The Analysis is byte-identical for every worker
+	// count: scan workers produce commutative partial results (data-race
+	// records, sync-race counts, minimal-partner proposals) that are
+	// sorted, summed, or folded by a minimum, and the fill writes disjoint
+	// ranges of slabs whose contents do not depend on the schedule.
 	Workers int
 	// ExplicitClosure answers hb1 ordering queries with the lazy bitset
 	// transitive closure (graph.NewReachabilityLazy, Analysis.HBReach) the
@@ -89,7 +85,7 @@ type Options struct {
 	// callers that want the closure for ad-hoc queries.
 	ExplicitAug bool
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
-	// (race records, SCC stacks, race-partner lists). A campaign hands one
+	// (sweep records, SCC stacks, race-partner lists). A campaign hands one
 	// arena per in-flight seed down so repeated analyses stop re-allocating
 	// the same megabyte-scale buffers. An Arena must not be shared by
 	// concurrent Analyze calls.
@@ -104,40 +100,42 @@ type Options struct {
 }
 
 // Arena holds the per-Analyze scratch buffers that are NOT retained by
-// the returned Analysis: the flat race-record buffers of the sweep, the
+// the returned Analysis: the sweep's record and partner buffers, the
 // implicit-G′ partner lists, and the graph layer's Tarjan and
 // condensation scratch. Zero value is ready to use; see Options.Arena.
 type Arena struct {
-	cpuOf   []int32   // cpuOf[event] — filled per analysis
-	posOf   []int32   // posOf[event]: index within its CPU's stream
-	degOf   []int32   // buildHB's out-degree counting buffer
-	extras  [][]int32 // per-node race-partner lists (min partner per CPU)
-	pmask   []uint32  // per-node bitmask of partner CPUs (≤32 CPUs)
-	touched []int32   // nodes with non-empty extras, for O(touched) reset
+	cpuOf []int32 // cpuOf[event] — filled per analysis
+	posOf []int32 // posOf[event]: index within its CPU's stream
+	degOf []int32 // buildHB's out-degree counting buffer
+	// Implicit G′: per-node race-partner lists (min partner per CPU),
+	// carved from augSlab at the node offsets augOff.
+	extras  [][]int32
+	augOff  []int32
+	augSlab []int32
 	// shards holds one sub-arena per sweep worker: each worker owns its
-	// shard exclusively for the duration of the scan, so record appends
-	// never contend, while the shard list itself lives in the arena and
-	// keeps the campaign-level sync.Pool reuse intact (shards[0] doubles
-	// as the sequential path's buffer). Grown to the high-water worker
-	// count and reused.
+	// shard exclusively for the duration of the scan, so appends never
+	// contend, while the shard list itself lives in the arena and keeps
+	// the campaign-level sync.Pool reuse intact (shards[0] doubles as the
+	// sequential path's buffer). Grown to the high-water worker count and
+	// reused.
 	shards    []sweepShard
-	segs      []locSeg    // prep pass: per-location CPU segments, read-only during the scan
-	segOff    []int32     // sorted-location offsets into segs (len(locs)+1)
-	units     []sweepUnit // (location, segment-pair) buckets the scan workers pull
-	recsMerge []pairRec   // parallel merge's concatenation buffer
-	groupOff  []int32     // two-level merge: per-group record offsets
-	hbCnt     []int32     // parallel hb1 fill: per-event so1 rank counters
-	hbLess    []int32     // parallel hb1 fill: per-event acquires-below-po counts
-	digits    []int32     // radix sort's counting buffer
-	digitsW   []int32     // parallel radix sort's per-worker histograms
-	recsTmp   []pairRec   // radix sort's ping-pong buffer
+	segs      []locSeg      // prep pass: per-location CPU segments, read-only during the scan
+	segOff    []int32       // sorted-location offsets into segs (len(locs)+1)
+	idx       []accessIndex // prep pass: per-access skip pointers and prefix counts
+	idxOff    []int32       // sorted-location offsets into idx (len(locs)+1)
+	units     []sweepUnit   // (location, segment-pair) buckets the scan workers pull
+	recsMerge []pairRec     // parallel merge's concatenation buffer
+	hbCnt     []int32       // parallel hb1 fill: per-event so1 rank counters
+	hbLess    []int32       // parallel hb1 fill: per-event acquires-below-po counts
+	digits    []int32       // radix sort's counting buffer
+	recsTmp   []pairRec     // radix sort's ping-pong buffer
 	// locSlot interns locations into stable accLists slots, so repeated
 	// analyses through one arena reuse the per-location access buffers
 	// instead of rebuilding a map of freshly grown slices every time.
 	locSlot  map[int]int32
 	accLists [][]access
 	slotLoc  []int32       // slot → location value (inverse of locSlot)
-	canon    []*bitset.Set // slot → current analysis's canonical {loc} set
+	canon    []*bitset.Set // slot → current analysis's canonical {loc} set (nil if unused)
 	locsBuf  []int         // locations touched by the current analysis
 	scratch  graph.Scratch
 }
@@ -162,7 +160,9 @@ type Race struct {
 	// Data reports whether this is a data race: at least one side is a
 	// computation event (all of whose accesses are data operations). A
 	// race between two synchronization events is a synchronization race
-	// and is never reported, but it still contributes edges to G′.
+	// and is never reported, but it still contributes edges to G′. Every
+	// entry of Analysis.Races is a data race; ForEachSyncRace yields the
+	// synchronization races.
 	Data bool
 }
 
@@ -221,10 +221,16 @@ type Analysis struct {
 	// from them, are identical.
 	AugSCC *graph.SCC
 
-	// Races lists every race (data and synchronization), sorted by (A, B).
+	// Races lists the data races, sorted by (A, B). Synchronization races
+	// are not listed: SyncRaces counts them and ForEachSyncRace re-derives
+	// them on demand. NumRaces returns the total.
 	Races []Race
-	// DataRaces indexes Races, listing the data races.
+	// DataRaces indexes Races, listing the data races: since Races holds
+	// only data races, it is the identity index 0..len(Races)-1.
 	DataRaces []int
+	// SyncRaces counts the synchronization races: conflicting,
+	// hb1-unordered pairs of synchronization events.
+	SyncRaces int64
 	// Partitions lists the partitions containing at least one data race,
 	// in a deterministic order (by smallest event id).
 	Partitions []Partition
@@ -236,11 +242,10 @@ type Analysis struct {
 
 	augCond         *graph.CondReach // implicit path's partition-order oracle
 	augEdges        int64            // implicit partner entries, or Aug.M() when explicit
-	candidatePairs  int64            // conflicting unordered pairs the sweep emitted
+	candidatePairs  int64            // conflicting pairs (ordered or not) of the scanned segment pairs
 	raceWorkers     int              // worker count the race search actually used
 	sweepBuckets    int64            // (location, segment-pair) units the scan was sharded into
 	vcWindowQueries int64            // sweep boundary lookups answered by HBTime
-	mergeGroups     int              // two-level merge group count (0 = flat merge)
 	// pairShift is the bit width of this trace's event ids: packed pair
 	// keys are lo<<pairShift | hi, so they span only 2·⌈log₂ n⌉ bits and
 	// the radix sort runs the fewest counting passes the ids allow.
@@ -264,6 +269,10 @@ func (a *Analysis) Ref(id EventID) trace.EventRef {
 func (a *Analysis) Event(id EventID) *trace.Event {
 	return a.Trace.Event(a.Ref(id))
 }
+
+// NumRaces returns the number of races, data and synchronization:
+// len(Races) + SyncRaces.
+func (a *Analysis) NumRaces() int64 { return int64(len(a.Races)) + a.SyncRaces }
 
 // RaceFree reports whether the execution exhibited no data races. On
 // hardware satisfying Condition 3.4(1) this certifies that the execution
@@ -433,8 +442,9 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	// racy-nodes × (CPUs−1), since partners collapse to the po-minimal
 	// event per CPU), or G′'s materialized edge count under ExplicitAug.
 	reg.Counter("detect.aug_edges").Add(a.augEdges)
-	reg.Counter("detect.races").Add(int64(len(a.Races)))
+	reg.Counter("detect.races").Add(a.NumRaces())
 	reg.Counter("detect.data_races").Add(int64(len(a.DataRaces)))
+	reg.Counter("detect.sync_races").Add(a.SyncRaces)
 	reg.Counter("detect.partitions").Add(int64(len(a.Partitions)))
 	reg.Counter("detect.first_partitions").Add(int64(len(a.FirstPartitions)))
 	reg.Counter("detect.race_candidates").Add(a.candidatePairs)
@@ -444,11 +454,6 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	// marks — how much record slab each worker's sub-arena has grown to
 	// across the analyses run through it.
 	reg.Counter("detect.sweep.buckets").Add(a.sweepBuckets)
-	// detect.sweep.merge_groups appears only when the two-level merge
-	// engaged (workers ≥ mergeTwoLevelCutoff and a sharded sweep ran).
-	if a.mergeGroups > 0 {
-		reg.Gauge("detect.sweep.merge_groups").SetMax(int64(a.mergeGroups))
-	}
 	if ar := a.Options.Arena; ar != nil {
 		reg.Gauge("detect.arena.shards").SetMax(int64(len(ar.shards)))
 		maxRecs := 0
@@ -715,828 +720,6 @@ func runUnits(workers, k int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// access is one (event, location) access used during race detection.
-type access struct {
-	ev    EventID
-	cpu   int
-	write bool
-	sync  bool
-}
-
-// locSeg is one contiguous same-CPU run of a location's access list.
-// Accesses are collected processor-major, so a location has at most one
-// segment per CPU, po-ascending within.
-type locSeg struct {
-	start, end int32 // accs[start:end]
-	writes     int32 // write accesses within
-}
-
-// sweepUnit is one bucket of sweep work: a (location, segment-pair)
-// combination with conflict potential. Sharding by segment pair — CPU
-// pair, since segments are per-CPU — instead of by whole location keeps
-// a single hot location (a contended lock word) from serializing behind
-// one worker. Units are enumerated in a fixed (location, si, ti) order;
-// which worker runs a unit never matters because the merge sorts the
-// flat records into a total order afterwards.
-type sweepUnit struct {
-	li     int32 // index into the sorted locations
-	si, ti int32 // segment pair within the location, si < ti
-}
-
-// sweepShard is one worker's sub-arena: the flat record buffer it
-// appends to during the scan. Shards are owned exclusively by their
-// worker between fan-out and merge.
-type sweepShard struct {
-	recs []pairRec
-}
-
-// sweepThreshold is the access count below which the race search stays
-// sequential: fanning out goroutines costs more than the sweep itself on
-// small traces. The parallel and sequential paths produce identical
-// output, so the cutoff is purely a scheduling decision.
-const sweepThreshold = 2048
-
-// mergeTwoLevelCutoff is the worker count from which the sweep's merge
-// concatenates in two levels (worker partials → ⌈√W⌉ group slabs →
-// final buffer) instead of flat. Both shapes produce the identical
-// record sequence; the cutoff is purely a scheduling decision.
-const mergeTwoLevelCutoff = 4
-
-// resolveWorkers returns the analysis's worker budget: Options.Workers,
-// with 0 meaning GOMAXPROCS. Individual passes may still run
-// sequentially below their own size cutoffs.
-func (a *Analysis) resolveWorkers() int {
-	if w := a.Options.Workers; w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// findRaces detects all races: conflicting, hb1-unordered event pairs.
-//
-// The search is a sweep over CPU-bucketed accesses: accesses are
-// collected processor-major, so each location's slice is made of
-// contiguous same-CPU segments (one per processor, po-ascending within),
-// and pairing a segment only against later segments skips same-processor
-// pairs (always po-ordered) wholesale.
-//
-// Against one later segment T, an access x needs no per-pair ordering
-// tests: program order makes ordering monotone along T, so the events of
-// T that reach x form a PREFIX of T (y⇝x implies y′⇝y⇝x for every
-// earlier y′), the events x reaches form a SUFFIX (x⇝y implies x⇝y′ for
-// every later y′), and the hb1-unordered partners of x are exactly the
-// interval between them. Both boundaries are monotone non-decreasing as
-// x advances through its own segment (later x is reached by more of T
-// and reaches less of it), so one two-pointer pass spends O(|S|+|T|)
-// amortized boundary work per segment pair — not O(|S|·|T|) — and the
-// interval's pairs are emitted with no ordering query at all. On the
-// default timestamp path the boundaries come from HBTime.Window — two
-// slab reads per x, zero reachability queries; under ExplicitClosure
-// each pointer advance runs one closure query, which still goes through
-// the reachability layer's O(1) component-id/topological-level
-// pre-checks before touching (or, in lazy mode, materializing) a row.
-//
-// The unit of parallel work is a (location, segment-pair) bucket — a CPU
-// pair, since segments are per-CPU — not a whole location: a single
-// contended lock word no longer serializes behind one worker. A serial
-// prep pass enumerates segments and buckets; scan workers pull buckets
-// off an atomic index and append flat (pair, location, data) records
-// into per-shard arenas they own exclusively; the partials are
-// concatenated and sorted into a total order, and the sorted runs are
-// coalesced into races — with the merge, sort, and coalesce themselves
-// sharded once the record count warrants it. Every stage either
-// serializes, produces commutative partials, or writes disjoint ranges
-// of a deterministic slab, so the Analysis is byte-identical for every
-// worker count and work-stealing schedule.
-func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
-	// Keyed by location, sparse: traces legitimately declare large address
-	// spaces while touching few locations, and the analyzer must not
-	// allocate proportionally to the declared size (robustness against
-	// decoded input). The arena interns each location into a stable slot
-	// whose access buffer survives across analyses — a campaign's repeated
-	// traces stop re-growing hundreds of per-location slices.
-	ar := a.Options.Arena
-	donePrep := startPhase(reg, fl, "detect.sweep.prep")
-	if ar.locSlot == nil {
-		ar.locSlot = map[int]int32{}
-	}
-	for _, loc := range ar.locsBuf {
-		ar.accLists[ar.locSlot[loc]] = ar.accLists[ar.locSlot[loc]][:0]
-	}
-	ar.locsBuf = ar.locsBuf[:0]
-	addAccess := func(loc int, acc access) {
-		slot, ok := ar.locSlot[loc]
-		if !ok {
-			slot = int32(len(ar.accLists))
-			ar.locSlot[loc] = slot
-			ar.accLists = append(ar.accLists, nil)
-			ar.slotLoc = append(ar.slotLoc, int32(loc))
-		}
-		if len(ar.accLists[slot]) == 0 {
-			ar.locsBuf = append(ar.locsBuf, loc)
-		}
-		ar.accLists[slot] = append(ar.accLists[slot], acc)
-	}
-	total := 0
-	for c, evs := range a.Trace.PerCPU {
-		for i, ev := range evs {
-			id := EventID(a.base[c] + i)
-			switch ev.Kind {
-			case trace.Comp:
-				// A location both read and written contributes a single
-				// write access (the write subsumes the read for conflict
-				// purposes).
-				ev.Writes.Range(func(loc int) bool {
-					addAccess(loc, access{ev: id, cpu: c, write: true})
-					total++
-					return true
-				})
-				ev.Reads.Range(func(loc int) bool {
-					if !ev.Writes.Contains(loc) {
-						addAccess(loc, access{ev: id, cpu: c, write: false})
-						total++
-					}
-					return true
-				})
-			case trace.Sync:
-				addAccess(int(ev.Loc), access{
-					ev: id, cpu: c, write: ev.IsWriteSync(), sync: true,
-				})
-				total++
-			}
-		}
-	}
-
-	locs := ar.locsBuf
-	slices.Sort(locs)
-
-	// Segment and bucket enumeration, serial: one pass over every sorted
-	// location records its per-CPU segments into a shared read-only slab
-	// and emits one sweepUnit per segment pair with conflict potential.
-	// The fixed (location, si, ti) enumeration order is what the bucket
-	// telemetry and the scan's work index are defined over.
-	segs, segOff, units := ar.segs[:0], ar.segOff[:0], ar.units[:0]
-	segOff = append(segOff, 0)
-	for li, loc := range locs {
-		accs := ar.accLists[ar.locSlot[loc]]
-		first := int32(len(segs))
-		for s := 0; s < len(accs); {
-			e := s + 1
-			for e < len(accs) && accs[e].cpu == accs[s].cpu {
-				e++
-			}
-			w := int32(0)
-			for _, x := range accs[s:e] {
-				if x.write {
-					w++
-				}
-			}
-			segs = append(segs, locSeg{start: int32(s), end: int32(e), writes: w})
-			s = e
-		}
-		nls := int32(len(segs)) - first
-		for si := int32(0); si < nls; si++ {
-			for ti := si + 1; ti < nls; ti++ {
-				if segs[first+si].writes == 0 && segs[first+ti].writes == 0 {
-					continue // read-only × read-only: no conflicts at all
-				}
-				units = append(units, sweepUnit{li: int32(li), si: si, ti: ti})
-			}
-		}
-		segOff = append(segOff, int32(len(segs)))
-	}
-	ar.segs, ar.segOff, ar.units = segs, segOff, units
-	a.sweepBuckets = int64(len(units))
-	donePrep()
-
-	workers := a.resolveWorkers()
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers < 2 || total < sweepThreshold {
-		workers = 1
-	}
-	a.raceWorkers = workers
-	for len(ar.shards) < workers {
-		ar.shards = append(ar.shards, sweepShard{})
-	}
-
-	// Scan: workers pull buckets off a shared index; a hot location's
-	// segment pairs therefore spread across the pool instead of
-	// serializing behind one worker. Each worker appends flat (pair,
-	// location, data) records into its own shard — no maps, no per-race
-	// allocations, no contention on shared slabs; weak executions
-	// routinely produce tens of thousands of synchronization races from
-	// contending spin loops, and pointer-chasing accumulation dominated
-	// the old search.
-	doneScan := startPhase(reg, fl, "detect.sweep.scan")
-	var next atomic.Int64
-	useVC := a.HBTime != nil
-	a.pairShift = uint(bits.Len(uint(a.NumEvents)))
-	shift := a.pairShift
-	sweep := func(buf []pairRec) ([]pairRec, int64, int64) {
-		recs := buf[:0]
-		var cand, vcq int64
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(units) {
-				return recs, cand, vcq
-			}
-			un := units[i]
-			slot := ar.locSlot[locs[un.li]]
-			accs := ar.accLists[slot]
-			base := segOff[un.li]
-			S, T := segs[base+un.si], segs[base+un.ti]
-			// Conflicting pairs in S×T = all pairs minus read-read
-			// pairs, counted wholesale (the quantity the per-pair
-			// loop used to tally one test at a time).
-			sn, tn := S.end-S.start, T.end-T.start
-			cand += int64(sn*tn - (sn-S.writes)*(tn-T.writes))
-			// p: end of T's prefix reaching x. q: start of T's
-			// suffix reached by x. Both only move forward while x
-			// advances; [p,q) is x's hb1-unordered interval of T.
-			// On the timestamp path both boundaries are read
-			// straight off x's clock: Window gives the exact prefix
-			// count and suffix start of T's WHOLE stream, and
-			// event ids are base+pos within a CPU, so the pointers
-			// advance by threshold compares with no per-pair
-			// ordering query at all.
-			p, q := T.start, T.start
-			tcpu := accs[T.start].cpu
-			tbase := a.base[tcpu]
-			for xi := S.start; xi < S.end; xi++ {
-				x := accs[xi]
-				if useVC {
-					predCount, succPos := a.HBTime.Window(int(x.ev), tcpu)
-					vcq++
-					for p < T.end && int(accs[p].ev)-tbase < int(predCount) {
-						p++
-					}
-					if q < p {
-						// On an hb1 cycle the prefix and suffix can
-						// overlap; the unordered interval is empty.
-						q = p
-					}
-					for q < T.end && int(accs[q].ev)-tbase < int(succPos) {
-						q++
-					}
-				} else {
-					for p < T.end && a.HBReach.Reaches(int(accs[p].ev), int(x.ev)) {
-						p++
-					}
-					if q < p {
-						q = p
-					}
-					for q < T.end && !a.HBReach.Reaches(int(x.ev), int(accs[q].ev)) {
-						q++
-					}
-				}
-				for yi := p; yi < q; yi++ {
-					y := accs[yi]
-					if !x.write && !y.write {
-						continue // two reads never conflict
-					}
-					lo, hi := x.ev, y.ev
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					recs = append(recs, pairRec{
-						key:  uint64(lo)<<shift | uint64(hi),
-						slot: slot,
-						data: !x.sync || !y.sync,
-					})
-				}
-			}
-		}
-	}
-
-	partials := make([][]pairRec, workers)
-	counts := make([]int64, workers)
-	vcqs := make([]int64, workers)
-	if workers == 1 {
-		partials[0], counts[0], vcqs[0] = sweep(ar.shards[0].recs)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				partials[w], counts[w], vcqs[w] = sweep(ar.shards[w].recs)
-			}(w)
-		}
-		wg.Wait()
-	}
-	// Hand the grown buffers back to their shards so a campaign's steady
-	// state appends into pre-grown slabs for every worker.
-	for w := range partials {
-		ar.shards[w].recs = partials[w]
-	}
-	for w := range counts {
-		a.candidatePairs += counts[w]
-		a.vcWindowQueries += vcqs[w]
-	}
-	doneScan()
-
-	// Deterministic merge: concatenate the partials and sort by
-	// (pair, location) — a total order, since each (event pair, location)
-	// combination is produced at most once — so the record sequence, and
-	// with it the Analysis, is byte-identical for every worker count and
-	// work-stealing schedule. The sequential path sorts its single
-	// partial in place (no copy); the records are dead after the coalesce
-	// below, so every buffer (including the merge concatenation) returns
-	// to the arena. Concatenation offsets are exact, so the parallel copy
-	// writes disjoint ranges.
-	//
-	// From mergeTwoLevelCutoff workers up, the concat goes NUMA-style in
-	// two levels: worker partials merge into ⌈√W⌉ contiguous GROUP slabs
-	// (each group owning a worker-order run of partials), and the group
-	// slabs then concatenate into the final buffer — so neither level
-	// fans out more than ⌈√W⌉ copy tasks and per-level merge cost stops
-	// growing linearly with the worker count. Groups preserve worker
-	// order, so the concatenated sequence — and everything downstream —
-	// is byte-identical to the flat merge.
-	doneMerge := startPhase(reg, fl, "detect.sweep.merge")
-	var recs []pairRec
-	switch {
-	case workers == 1:
-		recs = partials[0]
-	case workers < mergeTwoLevelCutoff:
-		nRecs := 0
-		for _, p := range partials {
-			nRecs += len(p)
-		}
-		if cap(ar.recsMerge) < nRecs {
-			ar.recsMerge = make([]pairRec, 0, nRecs)
-		}
-		recs = ar.recsMerge[:nRecs]
-		var wg sync.WaitGroup
-		off := 0
-		for _, p := range partials {
-			wg.Add(1)
-			go func(dst, src []pairRec) {
-				defer wg.Done()
-				copy(dst, src)
-			}(recs[off:off+len(p)], p)
-			off += len(p)
-		}
-		wg.Wait()
-		ar.recsMerge = recs
-	default:
-		groups := 1
-		for groups*groups < workers {
-			groups++
-		}
-		a.mergeGroups = groups
-		nRecs := 0
-		if cap(ar.groupOff) < groups+1 {
-			ar.groupOff = make([]int32, groups+1)
-		}
-		groupOff := ar.groupOff[:groups+1]
-		for g := 0; g < groups; g++ {
-			groupOff[g] = int32(nRecs)
-			for _, p := range partials[g*workers/groups : (g+1)*workers/groups] {
-				nRecs += len(p)
-			}
-		}
-		groupOff[groups] = int32(nRecs)
-		if cap(ar.recsMerge) < nRecs {
-			ar.recsMerge = make([]pairRec, 0, nRecs)
-		}
-		if cap(ar.recsTmp) < nRecs {
-			ar.recsTmp = make([]pairRec, 0, nRecs)
-		}
-		recs = ar.recsMerge[:nRecs]
-		slabs := ar.recsTmp[:nRecs]
-		ar.recsMerge, ar.recsTmp = recs, slabs
-		// Level 1: each group concatenates its partials into its slab.
-		runUnits(groups, groups, func(g int) {
-			off := int(groupOff[g])
-			for _, p := range partials[g*workers/groups : (g+1)*workers/groups] {
-				copy(slabs[off:off+len(p)], p)
-				off += len(p)
-			}
-		})
-		// Level 2: the group slabs concatenate into the final buffer.
-		runUnits(groups, groups, func(g int) {
-			copy(recs[groupOff[g]:groupOff[g+1]], slabs[groupOff[g]:groupOff[g+1]])
-		})
-	}
-	recs = sortRecsByKey(recs, ar, workers)
-	doneMerge()
-
-	// Canonical singleton location sets, one per distinct location: a
-	// weak execution's contending spin loops produce tens of thousands of
-	// races, and nearly every one involves exactly one location (at
-	// segments-64 it is 49,676 of 49,697). Each (pair, location)
-	// combination occurs at most once in recs, so a run of length one IS
-	// a single-location race — it shares the interned {loc} set instead
-	// of carrying a private set and backing words. That removes the
-	// dominant share of the analysis's retained output, and with it most
-	// of the GC scanning a campaign pays per analysis. Location sets are
-	// owned by the Analysis and must be treated as read-only — races on
-	// the same location alias one set.
-	doneCoalesce := startPhase(reg, fl, "detect.sweep.coalesce")
-	if cap(ar.canon) < len(ar.accLists) {
-		ar.canon = make([]*bitset.Set, len(ar.accLists))
-	}
-	ar.canon = ar.canon[:len(ar.accLists)]
-	canonSets := make([]bitset.Set, len(locs))
-	canonWords := 0
-	for _, loc := range locs {
-		canonWords += loc/64 + 1
-	}
-	canonSlab := make([]uint64, canonWords)
-	for i, loc := range locs {
-		w := loc/64 + 1
-		canonSets[i] = *bitset.Wrap(canonSlab[:w:w])
-		canonSets[i].Add(loc)
-		ar.canon[ar.locSlot[loc]] = &canonSets[i]
-		canonSlab = canonSlab[w:]
-	}
-
-	// Coalesce sorted runs into races. Packed keys order exactly like the
-	// (A, B) lexicographic order the report promises; within a run the
-	// record order is irrelevant — location-set insertion and the data
-	// flag are commutative, which is also why the sort never needs to be
-	// stable across worker schedules. Above the cutoff the record range
-	// is split at run boundaries, a counting pass sizes each worker's
-	// slice of the output exactly, and the fill writes disjoint ranges of
-	// the Races slab and DataRaces index — the same deterministic-merge
-	// shape as the scan, with the run partition fixed by the sorted keys
-	// alone.
-	if workers > 1 && len(recs) >= coalesceParallelCutoff {
-		bounds := make([]int, workers+1)
-		bounds[workers] = len(recs)
-		step := len(recs) / workers
-		for w := 1; w < workers; w++ {
-			b := max(w*step, bounds[w-1])
-			for b < len(recs) && recs[b].key == recs[b-1].key {
-				b++
-			}
-			bounds[w] = b
-		}
-		runCnt := make([]int, workers)
-		dataCnt := make([]int, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runs, datas := 0, 0
-				for i := bounds[w]; i < bounds[w+1]; {
-					j, data := i+1, recs[i].data
-					for j < bounds[w+1] && recs[j].key == recs[i].key {
-						data = data || recs[j].data
-						j++
-					}
-					runs++
-					if data {
-						datas++
-					}
-					i = j
-				}
-				runCnt[w], dataCnt[w] = runs, datas
-			}(w)
-		}
-		wg.Wait()
-		raceOff := make([]int, workers+1)
-		dataOff := make([]int, workers+1)
-		for w := 0; w < workers; w++ {
-			raceOff[w+1] = raceOff[w] + runCnt[w]
-			dataOff[w+1] = dataOff[w] + dataCnt[w]
-		}
-		races := make([]Race, raceOff[workers])
-		var dataIdx []int
-		if dataOff[workers] > 0 {
-			dataIdx = make([]int, dataOff[workers])
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ri, di := raceOff[w], dataOff[w]
-				for i := bounds[w]; i < bounds[w+1]; {
-					j, data := i+1, recs[i].data
-					for j < bounds[w+1] && recs[j].key == recs[i].key {
-						data = data || recs[j].data
-						j++
-					}
-					a.fillRace(&races[ri], recs[i:j], data)
-					if data {
-						dataIdx[di] = ri
-						di++
-					}
-					ri++
-					i = j
-				}
-			}(w)
-		}
-		wg.Wait()
-		a.Races = races
-		a.DataRaces = dataIdx
-	} else {
-		// len(recs) bounds the race count tightly (each record is a
-		// distinct (pair, location) and nearly every pair has one
-		// location), so Races is allocated once at that bound and
-		// truncated — no counting pre-pass rescanning the records.
-		races := make([]Race, len(recs))
-		ri := 0
-		for i := 0; i < len(recs); {
-			j, data := i+1, recs[i].data
-			for j < len(recs) && recs[j].key == recs[i].key {
-				data = data || recs[j].data
-				j++
-			}
-			a.fillRace(&races[ri], recs[i:j], data)
-			if data {
-				a.DataRaces = append(a.DataRaces, ri)
-			}
-			ri++
-			i = j
-		}
-		a.Races = races[:ri:ri]
-	}
-	doneCoalesce()
-}
-
-// fillRace materializes one sorted equal-key run of sweep records as a
-// Race: unpack the pair, share the canonical {loc} set for the dominant
-// single-location case, build a private set otherwise.
-func (a *Analysis) fillRace(r *Race, run []pairRec, data bool) {
-	ar := a.Options.Arena
-	shift := a.pairShift
-	r.A = EventID(run[0].key >> shift)
-	r.B = EventID(run[0].key & (1<<shift - 1))
-	r.Data = data
-	if len(run) == 1 {
-		r.Locs = ar.canon[run[0].slot]
-		return
-	}
-	maxLoc := ar.slotLoc[run[0].slot]
-	for _, rec := range run[1:] {
-		if l := ar.slotLoc[rec.slot]; l > maxLoc {
-			maxLoc = l
-		}
-	}
-	r.Locs = bitset.Wrap(make([]uint64, int(maxLoc)/64+1))
-	for _, rec := range run {
-		r.Locs.Add(int(ar.slotLoc[rec.slot]))
-	}
-}
-
-// Record counts above which the sweep's merge-side passes fan out:
-// below them, goroutine dispatch costs more than the pass itself. Purely
-// scheduling decisions — output is identical either way.
-const (
-	sortParallelCutoff     = 1 << 16
-	coalesceParallelCutoff = 1 << 16
-)
-
-// sortRecsByKey sorts the sweep's records by packed pair key — the only
-// order the coalesce needs — with an LSD radix sort over 11-bit digits.
-// Digits that are zero in every key are skipped wholesale: event ids are
-// dense, so a trace with n events uses only ~2·log₂(n) key bits and the
-// usual record sort is two or three counting passes, not a comparison
-// sort of 24-byte structs. Ping-pong and counting buffers come from the
-// arena. The returned slice aliases either recs or the arena's buffer.
-//
-// Above the parallel cutoff each counting pass shards: workers histogram
-// fixed contiguous chunks, a serial digit-major/worker-minor prefix sum
-// turns the histograms into disjoint scatter offsets, and workers
-// scatter their own chunks — a stable split-order-preserving pass, so
-// the result equals the serial sort's exactly. (Records with equal keys
-// may arrive in schedule-dependent order from the scan, but the coalesce
-// folds equal-key runs commutatively, so stability only needs to hold
-// within one sort invocation, which it does.)
-func sortRecsByKey(recs []pairRec, ar *Arena, workers int) []pairRec {
-	const digitBits = 11
-	const radix = 1 << digitBits
-	if len(recs) < 2*radix {
-		// Counting passes would be dominated by sweeping the count
-		// array; a comparison sort wins on small traces.
-		slices.SortFunc(recs, func(x, y pairRec) int {
-			if x.key < y.key {
-				return -1
-			} else if x.key > y.key {
-				return 1
-			}
-			return 0
-		})
-		return recs
-	}
-	var orKeys uint64
-	for i := range recs {
-		orKeys |= recs[i].key
-	}
-	if cap(ar.recsTmp) < len(recs) {
-		ar.recsTmp = make([]pairRec, len(recs))
-	}
-	src, dst := recs, ar.recsTmp[:len(recs)]
-	if workers > 1 && len(recs) >= sortParallelCutoff {
-		if cap(ar.digitsW) < workers*radix {
-			ar.digitsW = make([]int32, workers*radix)
-		}
-		hist := ar.digitsW[:workers*radix]
-		chunk := (len(recs) + workers - 1) / workers
-		ranges := func(w int) (lo, hi int) {
-			lo = min(w*chunk, len(recs))
-			return lo, min(lo+chunk, len(recs))
-		}
-		var wg sync.WaitGroup
-		for shift := 0; shift < 64; shift += digitBits {
-			if (orKeys>>shift)&(radix-1) == 0 {
-				continue // this digit is zero in every key: identity pass
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := hist[w*radix : (w+1)*radix]
-					for d := range h {
-						h[d] = 0
-					}
-					lo, hi := ranges(w)
-					for i := lo; i < hi; i++ {
-						h[(src[i].key>>shift)&(radix-1)]++
-					}
-				}(w)
-			}
-			wg.Wait()
-			sum := int32(0)
-			for d := 0; d < radix; d++ {
-				for w := 0; w < workers; w++ {
-					c := hist[w*radix+d]
-					hist[w*radix+d] = sum
-					sum += c
-				}
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := hist[w*radix : (w+1)*radix]
-					lo, hi := ranges(w)
-					for i := lo; i < hi; i++ {
-						d := (src[i].key >> shift) & (radix - 1)
-						dst[h[d]] = src[i]
-						h[d]++
-					}
-				}(w)
-			}
-			wg.Wait()
-			src, dst = dst, src
-		}
-		return src
-	}
-	if cap(ar.digits) < radix {
-		ar.digits = make([]int32, radix)
-	}
-	count := ar.digits[:radix]
-	for shift := 0; shift < 64; shift += digitBits {
-		if (orKeys>>shift)&(radix-1) == 0 {
-			continue // this digit is zero in every key: identity pass
-		}
-		for d := range count {
-			count[d] = 0
-		}
-		for i := range src {
-			count[(src[i].key>>shift)&(radix-1)]++
-		}
-		sum := int32(0)
-		for d := range count {
-			c := count[d]
-			count[d] = sum
-			sum += c
-		}
-		for i := range src {
-			d := (src[i].key >> shift) & (radix - 1)
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
-// pairRec is one (conflicting unordered pair, location) observation from
-// the sweep — the flat intermediate the workers produce and the merge
-// sorts and coalesces.
-type pairRec struct {
-	key  uint64 // packed (A, B)
-	slot int32  // interned location slot; int32 keeps the record at 16 bytes
-	data bool   // at least one side is a computation access
-}
-
-// buildAugmented clones the hb1 graph and adds a doubly-directed edge for
-// every race (§4.2). All races contribute edges — the affects relation of
-// Definition 3.3 is defined over races generally — but only data races
-// form partitions.
-//
-// Dedup is O(1) per edge: findRaces emits races sorted by (A, B), so a
-// duplicate pair would be adjacent and one comparison catches it. The old
-// AddEdgeUnique scan was O(out-degree) per insertion — quadratic on
-// events with many races. (Races never coincide with an hb1 edge: an
-// hb1-ordered pair is not a race.)
-func (a *Analysis) buildAugmented() {
-	g := a.HB.Clone()
-	prevA, prevB := EventID(-1), EventID(-1)
-	for _, r := range a.Races {
-		if r.A == prevA && r.B == prevB {
-			continue
-		}
-		prevA, prevB = r.A, r.B
-		g.AddEdge(int(r.A), int(r.B))
-		g.AddEdge(int(r.B), int(r.A))
-	}
-	a.Aug = g
-}
-
-// buildImplicitAug computes the partition structure of the augmented
-// graph G′ without materializing G′: Tarjan runs over the implicit
-// adjacency hb1 ⊕ extras, where extras[u] keeps, per partner CPU, only
-// u's po-MINIMAL race partner on that CPU.
-//
-// Collapsing the race edges this way preserves G′'s transitive closure
-// exactly. A dropped edge u→v (v racing u on CPU d) is simulated by the
-// kept edge u→m — m the minimal partner of u on d, so m ≤ v — followed
-// by the program-order chain m⇝v inside d's event stream; the reverse
-// edge v→u is simulated symmetrically through v's minimal partner on u's
-// CPU. Kept edges are a subset of the dropped set's closure, so the two
-// closures — and with them the SCCs (as node sets), the condensation
-// reachability, the partitions, and the first-partition flags of
-// Theorems 4.1/4.2 — coincide with the explicit path's. Only raw
-// component IDs may differ (Tarjan numbering follows adjacency order).
-//
-// Entry count is bounded by racy-nodes × (CPUs−1), versus two edges per
-// race pair — the ≥10x detect.aug_edges drop on race-heavy traces.
-// Partition ordering is answered by memoized per-source DFS over the
-// condensation (graph.CondReach), never a full closure.
-func (a *Analysis) buildImplicitAug() {
-	ar := a.Options.Arena
-	n := a.NumEvents
-	cpuOf := ar.cpuOf[:n] // filled once per analysis by fillStreamIndex
-	// Reset only the nodes the previous analysis touched, keeping the
-	// per-node backing arrays. ar.extras keeps its high-water length so
-	// stale touched entries always index validly.
-	for _, u := range ar.touched {
-		ar.extras[u] = ar.extras[u][:0]
-		ar.pmask[u] = 0
-	}
-	ar.touched = ar.touched[:0]
-	if len(ar.extras) < n {
-		grown := make([][]int32, n)
-		copy(grown, ar.extras)
-		ar.extras = grown
-		ar.pmask = make([]uint32, n)
-	}
-	extras := ar.extras[:n]
-
-	// A node saturates after one partner per other CPU, and race-heavy
-	// spin loops call addPartner thousands of times per node — the
-	// per-node CPU bitmask answers the saturated case in one load instead
-	// of rescanning the partner list (traces with >32 CPUs fall back to
-	// the scan).
-	pmask := ar.pmask[:n]
-	useMask := a.Trace.NumCPUs <= 32
-
-	var nEntries int64
-	addPartner := func(u, v EventID) {
-		vc := cpuOf[v]
-		if useMask {
-			if pmask[u]>>uint(vc)&1 != 0 {
-				return // already hold the po-minimal partner on v's CPU
-			}
-			pmask[u] |= 1 << uint(vc)
-		} else {
-			for _, w := range extras[u] {
-				if cpuOf[w] == vc {
-					return
-				}
-			}
-		}
-		lst := extras[u]
-		if len(lst) == 0 {
-			ar.touched = append(ar.touched, int32(u))
-		}
-		extras[u] = append(lst, int32(v))
-		nEntries++
-	}
-	// Races are sorted by (A, B) and deduplicated, so a node's partners
-	// arrive in ascending event order (B-side partners, all below the
-	// node, scan before its A-side partners, all above) — the first
-	// partner seen per CPU is the minimal one.
-	for _, r := range a.Races {
-		addPartner(r.A, r.B)
-		addPartner(r.B, r.A)
-	}
-
-	scc := graph.StronglyConnectedOverlay(a.HB, extras, &ar.scratch)
-	a.AugSCC = scc
-	dag := graph.CondensationOverlay(a.HB, extras, scc, &ar.scratch)
-	a.augCond = graph.NewCondReach(dag, scc)
-	a.augEdges = nEntries
 }
 
 // augCompReaches answers component-level G′ reachability through

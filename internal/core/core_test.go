@@ -275,11 +275,70 @@ func TestConflictModes(t *testing.T) {
 		[]*trace.Event{syncEv(memmodel.RoleRelease, 0, 0)},
 		[]*trace.Event{syncEv(memmodel.RoleSyncOther, 0, 1)},
 	), Options{})
-	if len(a.Races) != 1 || a.Races[0].Data {
-		t.Fatalf("sync-sync pair: races=%d", len(a.Races))
+	// Races lists data races only; the sync race is counted and
+	// re-derived on demand.
+	if len(a.Races) != 0 || a.SyncRaces != 1 || a.NumRaces() != 1 {
+		t.Fatalf("sync-sync pair: listed %d, sync %d, total %d; want 0, 1, 1",
+			len(a.Races), a.SyncRaces, a.NumRaces())
+	}
+	var syncRaces []Race
+	a.ForEachSyncRace(func(r Race) bool {
+		syncRaces = append(syncRaces, r)
+		return true
+	})
+	if len(syncRaces) != 1 || syncRaces[0].Data || syncRaces[0].A != 0 || syncRaces[0].B != 1 ||
+		!syncRaces[0].Locs.Contains(0) {
+		t.Fatalf("ForEachSyncRace = %+v, want one sync race ⟨0, 1⟩ on {0}", syncRaces)
 	}
 	if len(a.DataRaces) != 0 || len(a.FirstPartitions) != 0 {
 		t.Fatal("sync race must not form a data-race partition")
+	}
+}
+
+// TestForEachRaceMergesInOrder checks that ForEachRace yields every race,
+// data and synchronization, strictly (A, B)-ascending, and stops when the
+// callback returns false — on Figure 2, whose data races interleave with
+// the sync races among the Unsets on S.
+func TestForEachRaceMergesInOrder(t *testing.T) {
+	p1 := []*trace.Event{comp(nil, []int{0, 1}), syncEv(memmodel.RoleRelease, 2, 0)}
+	p2 := []*trace.Event{comp([]int{0, 1}, nil), syncEv(memmodel.RoleRelease, 2, 1), comp(nil, []int{11, 12, 13})}
+	p3 := []*trace.Event{comp(nil, []int{10, 11, 12}), syncEv(memmodel.RoleRelease, 2, 2), comp([]int{11}, []int{11})}
+	a := analyze(t, mkTrace(16, p1, p2, p3), Options{})
+	if a.SyncRaces == 0 || len(a.Races) == 0 {
+		t.Fatalf("want both kinds of race; got %d data, %d sync", len(a.Races), a.SyncRaces)
+	}
+	var all []Race
+	a.ForEachRace(func(r Race) bool {
+		all = append(all, r)
+		return true
+	})
+	if int64(len(all)) != a.NumRaces() {
+		t.Fatalf("ForEachRace yielded %d races, want NumRaces() = %d", len(all), a.NumRaces())
+	}
+	data := 0
+	for i, r := range all {
+		if i > 0 && (all[i-1].A > r.A || all[i-1].A == r.A && all[i-1].B >= r.B) {
+			t.Fatalf("race %d ⟨%d,%d⟩ does not follow ⟨%d,%d⟩", i, r.A, r.B, all[i-1].A, all[i-1].B)
+		}
+		if r.Data {
+			if r != a.Races[data] {
+				t.Fatalf("data race %d = %+v, want Races[%d] = %+v", i, r, data, a.Races[data])
+			}
+			data++
+		}
+	}
+	if data != len(a.Races) {
+		t.Fatalf("ForEachRace yielded %d data races, want %d", data, len(a.Races))
+	}
+	for stop := 1; stop <= len(all); stop++ {
+		n := 0
+		a.ForEachRace(func(Race) bool {
+			n++
+			return n < stop
+		})
+		if n != stop {
+			t.Fatalf("ForEachRace called f %d times after f returned false on call %d", n, stop)
+		}
 	}
 }
 

@@ -91,22 +91,26 @@ func (fl *flight) record(a *Analysis) {
 			}
 		}
 	}
-	// Partner edges: one per race (each doubly directed, recorded once
-	// with From < To). This is the un-collapsed G′ augmentation — the
-	// implicit path's per-CPU-minimal partner lists are an equivalent
-	// compression of exactly these edges.
-	for _, r := range a.Races {
+	// Partner edges: one per race, data or synchronization (each doubly
+	// directed, recorded once with From < To), in (A, B) order. This is
+	// the un-collapsed G′ augmentation — the implicit path's
+	// per-CPU-minimal partner lists are an equivalent compression of
+	// exactly these edges. The synchronization races are re-derived here
+	// (ForEachSyncRace): the analysis only counted them.
+	a.ForEachRace(func(r Race) bool {
 		fl.emit(export.Record{Kind: export.KindEdge, Edge: &export.EdgeRec{
 			From: int(r.A), To: int(r.B), Origin: export.OriginPartner,
 		}})
-	}
-	for _, r := range a.Races {
+		return true
+	})
+	a.ForEachRace(func(r Race) bool {
 		fl.emit(export.Record{Kind: export.KindRace, Race: &export.RaceRec{
 			A: int(r.A), B: int(r.B),
 			ARef: a.Ref(r.A).String(), BRef: a.Ref(r.B).String(),
 			Locs: r.Locs.String(), Data: r.Data,
 		}})
-	}
+		return true
+	})
 	for pi, p := range a.Partitions {
 		events := make([]int, len(p.Events))
 		for i, id := range p.Events {

@@ -69,7 +69,7 @@ func TestQuickLocationRenamingEquivariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(a1.Races) != len(a2.Races) ||
+		if len(a1.Races) != len(a2.Races) || a1.SyncRaces != a2.SyncRaces ||
 			len(a1.DataRaces) != len(a2.DataRaces) ||
 			len(a1.Partitions) != len(a2.Partitions) ||
 			len(a1.FirstPartitions) != len(a2.FirstPartitions) {
@@ -130,7 +130,7 @@ func TestQuickIrrelevantThreadInvariance(t *testing.T) {
 			return false
 		}
 
-		if len(a1.Races) != len(a2.Races) ||
+		if len(a1.Races) != len(a2.Races) || a1.SyncRaces != a2.SyncRaces ||
 			len(a1.DataRaces) != len(a2.DataRaces) ||
 			len(a1.FirstPartitions) != len(a2.FirstPartitions) {
 			return false

@@ -68,6 +68,9 @@ func TestParallelFindRacesEquivalent(t *testing.T) {
 			if !reflect.DeepEqual(par.DataRaces, seq.DataRaces) {
 				t.Fatalf("seed %d workers %d: data-race indices differ", seed, workers)
 			}
+			if par.SyncRaces != seq.SyncRaces {
+				t.Fatalf("seed %d workers %d: %d sync races, sequential %d", seed, workers, par.SyncRaces, seq.SyncRaces)
+			}
 			if !reflect.DeepEqual(par.Partitions, seq.Partitions) {
 				t.Fatalf("seed %d workers %d: partitions differ", seed, workers)
 			}
@@ -148,6 +151,8 @@ func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 			got := run(workers)
 			if !reflect.DeepEqual(got.a.Races, ref.a.Races) ||
 				!reflect.DeepEqual(got.a.DataRaces, ref.a.DataRaces) ||
+				got.a.SyncRaces != ref.a.SyncRaces ||
+				!reflect.DeepEqual(got.a.AugSCC.Comp, ref.a.AugSCC.Comp) ||
 				!reflect.DeepEqual(got.a.Partitions, ref.a.Partitions) ||
 				!reflect.DeepEqual(got.a.FirstPartitions, ref.a.FirstPartitions) {
 				t.Fatalf("trial %d workers %d: analysis differs from workers=1", trial, workers)

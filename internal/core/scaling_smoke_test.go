@@ -16,8 +16,8 @@ import (
 
 // TestParallelScalingSmoke is the CI scaling gate: on a segments-1024
 // trace (~65k events), the FULL analysis — validation, timestamping,
-// hb1 build, partition ordering, and the sweep with its two-level
-// merge engaged — at Workers=4 must beat Workers=1 by at least 2.2x
+// hb1 build, partition ordering, and the bucket-sharded sweep — at
+// Workers=4 must beat Workers=1 by at least 2.2x
 // wall clock, and both runs must produce identical analyses.
 // Wall-clock assertions are meaningless on loaded or single-core
 // machines, so the test only runs when WEAKRACE_SCALING_SMOKE=1 is set
@@ -64,7 +64,7 @@ func TestParallelScalingSmoke(t *testing.T) {
 	serial, serialT := run(1)
 	parallel, parallelT := run(4)
 
-	if !reflect.DeepEqual(parallel.Races, serial.Races) ||
+	if !reflect.DeepEqual(parallel.Races, serial.Races) || parallel.SyncRaces != serial.SyncRaces ||
 		!reflect.DeepEqual(parallel.DataRaces, serial.DataRaces) ||
 		!reflect.DeepEqual(parallel.Partitions, serial.Partitions) ||
 		!reflect.DeepEqual(parallel.FirstPartitions, serial.FirstPartitions) {

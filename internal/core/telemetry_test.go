@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"weakrace/internal/memmodel"
@@ -46,6 +49,7 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 		"detect.aug_edges",
 		"detect.races",
 		"detect.data_races",
+		"detect.sync_races",
 		"detect.partitions",
 		"detect.first_partitions",
 		"detect.scc.components",
@@ -85,6 +89,22 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 		t.Errorf("graph.scc.max_size = %d < detect.scc.max_size = %d",
 			snap.Gauges["graph.scc.max_size"], snap.Gauges["detect.scc.max_size"])
 	}
+	// detect.races counts every race; the sweep lists the data races and
+	// only counts the synchronization races, which the flight recorder
+	// and ExplicitAug re-derive on demand.
+	if got, want := snap.Counters["detect.races"], snap.Counters["detect.data_races"]+snap.Counters["detect.sync_races"]; got != want {
+		t.Errorf("detect.races = %d, want data + sync = %d", got, want)
+	}
+	if got := snap.Counters["detect.sync_races"]; got != a.SyncRaces {
+		t.Errorf("detect.sync_races = %d, analysis counted %d", got, a.SyncRaces)
+	}
+	var prom bytes.Buffer
+	if err := snap.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if line := fmt.Sprintf("weakrace_detect_sync_races %d\n", a.SyncRaces); !strings.Contains(prom.String(), line) {
+		t.Errorf("/metrics exposition lacks %q", line)
+	}
 	if snap.Counters["detect.race_candidates"] <= 0 {
 		t.Errorf("detect.race_candidates = %d, want > 0", snap.Counters["detect.race_candidates"])
 	}
@@ -98,12 +118,6 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 		if snap.Gauges[name] < 1 {
 			t.Errorf("gauge %q = %d, want >= 1", name, snap.Gauges[name])
 		}
-	}
-	// The two-level merge only engages at Workers >= 4 with the sharded
-	// sweep; on this small trace the gauge must be ABSENT, not zero, so a
-	// flight log can distinguish "flat merge ran" from "no merge at all".
-	if v, ok := snap.Gauges["detect.sweep.merge_groups"]; ok {
-		t.Errorf("detect.sweep.merge_groups = %d present on a flat-merge trace, want absent", v)
 	}
 	// PR-8 parallel-analysis instrumentation: the timestamp layer's span
 	// statistics and the sweep's per-shard arena high-water marks.

@@ -51,8 +51,8 @@ func TestImplicitVsExplicitAugmentedGraph(t *testing.T) {
 			t.Fatalf("trial %d (%s, seed %d): race lists differ:\nimplicit: %+v\nexplicit: %+v",
 				trial, ctx(), seed, imp.Races, exp.Races)
 		}
-		if !reflect.DeepEqual(imp.DataRaces, exp.DataRaces) {
-			t.Fatalf("trial %d (%s, seed %d): data-race sets differ", trial, ctx(), seed)
+		if !reflect.DeepEqual(imp.DataRaces, exp.DataRaces) || imp.SyncRaces != exp.SyncRaces {
+			t.Fatalf("trial %d (%s, seed %d): data-race sets or sync-race counts differ", trial, ctx(), seed)
 		}
 		maskComp := func(ps []core.Partition) []core.Partition {
 			out := make([]core.Partition, len(ps))

@@ -186,7 +186,7 @@ func TestDifferentialCodecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(a2.Races) != len(aMem.Races) ||
+			if len(a2.Races) != len(aMem.Races) || a2.SyncRaces != aMem.SyncRaces ||
 				len(a2.DataRaces) != len(aMem.DataRaces) ||
 				len(a2.Partitions) != len(aMem.Partitions) ||
 				len(a2.FirstPartitions) != len(aMem.FirstPartitions) {

@@ -106,6 +106,17 @@ func comparePaths(t *testing.T, trial int, w *workload.Workload, seed int64, a, 
 	if !reflect.DeepEqual(a.DataRaces, b.DataRaces) {
 		t.Fatalf("trial %d (%s, seed %d): data-race sets differ", trial, w.Name, seed)
 	}
+	syncRaces := func(an *core.Analysis) []core.Race {
+		var out []core.Race
+		an.ForEachSyncRace(func(r core.Race) bool {
+			out = append(out, r)
+			return true
+		})
+		return out
+	}
+	if a.SyncRaces != b.SyncRaces || !reflect.DeepEqual(syncRaces(a), syncRaces(b)) {
+		t.Fatalf("trial %d (%s, seed %d): sync races differ: %d vs %d", trial, w.Name, seed, a.SyncRaces, b.SyncRaces)
+	}
 	maskComp := func(ps []core.Partition) []core.Partition {
 		out := make([]core.Partition, len(ps))
 		for i, p := range ps {

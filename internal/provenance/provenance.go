@@ -137,18 +137,15 @@ func (e *Explainer) Analysis() *core.Analysis { return e.a }
 // order P. The slice is owned by the explainer.
 func (e *Explainer) ImmediateSuccessors() [][]int { return e.succ }
 
-// Explain produces the witness for race ri (an index into
-// Analysis.Races). The race must be a data race: only data races have a
-// partition to anchor the explanation to.
+// Explain produces the witness for data race ri (an index into
+// Analysis.Races, which lists only data races: only they have a partition
+// to anchor the explanation to).
 func (e *Explainer) Explain(ri int) (*Witness, error) {
 	a := e.a
 	if ri < 0 || ri >= len(a.Races) {
 		return nil, fmt.Errorf("provenance: race index %d out of range [0,%d)", ri, len(a.Races))
 	}
 	r := a.Races[ri]
-	if !r.Data {
-		return nil, fmt.Errorf("provenance: race %d is a synchronization race; only data races are explained", ri)
-	}
 	pi := a.RaceOfPartition(ri)
 	if pi < 0 {
 		return nil, fmt.Errorf("provenance: race %d has no partition", ri)

@@ -80,7 +80,7 @@ type htmlData struct {
 	Model      string
 	Seed       int64
 	Events     int
-	NumRaces   int
+	NumRaces   int64
 	DataRaces  int
 	Partitions int
 	First      int
@@ -101,7 +101,7 @@ func buildHTMLData(a *core.Analysis, e *provenance.Explainer, ws []*provenance.W
 		Model:      t.Model.String(),
 		Seed:       t.Seed,
 		Events:     a.NumEvents,
-		NumRaces:   len(a.Races),
+		NumRaces:   a.NumRaces(),
 		DataRaces:  len(a.DataRaces),
 		Partitions: len(a.Partitions),
 		First:      len(a.FirstPartitions),

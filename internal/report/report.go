@@ -20,7 +20,7 @@ import (
 func RenderAnalysis(w io.Writer, a *core.Analysis) error {
 	t := a.Trace
 	if _, err := fmt.Fprintf(w, "race report for %q (model %s, seed %d): %d events, %d races (%d data), %d partitions (%d first)\n",
-		t.ProgramName, t.Model, t.Seed, a.NumEvents, len(a.Races), len(a.DataRaces),
+		t.ProgramName, t.Model, t.Seed, a.NumEvents, a.NumRaces(), len(a.DataRaces),
 		len(a.Partitions), len(a.FirstPartitions)); err != nil {
 		return err
 	}
@@ -101,12 +101,9 @@ func eventList(a *core.Analysis, ids []core.EventID) string {
 // happens-before-1 graph: each processor's events in order, annotated
 // with so1 pairings, race edges, and partition membership.
 func RenderGraph(w io.Writer, a *core.Analysis) error {
-	// Index races by event for annotation.
+	// Index data races by event for annotation.
 	raceWith := map[core.EventID][]core.EventID{}
 	for _, r := range a.Races {
-		if !r.Data {
-			continue
-		}
 		raceWith[r.A] = append(raceWith[r.A], r.B)
 		raceWith[r.B] = append(raceWith[r.B], r.A)
 	}

@@ -127,7 +127,9 @@ type RaceRec struct {
 	Data bool   `json:"data"`
 }
 
-// PartitionRec is one data-race partition (§4.2) of an analysis.
+// PartitionRec is one data-race partition (§4.2) of an analysis. Races
+// indexes the analysis's data races (core.Analysis.Races), not the race
+// records, which also list the synchronization races.
 type PartitionRec struct {
 	Index     int   `json:"index"`
 	Component int   `json:"component"`

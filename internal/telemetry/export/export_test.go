@@ -57,8 +57,9 @@ func TestFlightRecordsAnalysisStructure(t *testing.T) {
 	if counts[export.KindEvent] != a.NumEvents {
 		t.Errorf("event records = %d, want %d", counts[export.KindEvent], a.NumEvents)
 	}
-	if counts[export.KindRace] != len(a.Races) {
-		t.Errorf("race records = %d, want %d", counts[export.KindRace], len(a.Races))
+	// Race records cover every race, the counted sync races included.
+	if int64(counts[export.KindRace]) != a.NumRaces() {
+		t.Errorf("race records = %d, want %d", counts[export.KindRace], a.NumRaces())
 	}
 	if counts[export.KindPartition] != len(a.Partitions) {
 		t.Errorf("partition records = %d, want %d", counts[export.KindPartition], len(a.Partitions))
@@ -76,8 +77,8 @@ func TestFlightRecordsAnalysisStructure(t *testing.T) {
 	if edges["po"] != wantPO {
 		t.Errorf("po edges = %d, want %d", edges["po"], wantPO)
 	}
-	if edges["partner"] != len(a.Races) {
-		t.Errorf("partner edges = %d, want %d (one per race)", edges["partner"], len(a.Races))
+	if int64(edges["partner"]) != a.NumRaces() {
+		t.Errorf("partner edges = %d, want %d (one per race)", edges["partner"], a.NumRaces())
 	}
 	if edges["so1"] == 0 {
 		t.Error("no so1 edges recorded; the segments workload synchronizes")

@@ -245,20 +245,36 @@ func (rd *reader) str() string {
 	return string(buf)
 }
 
-func (rd *reader) set(capHint int) *bitset.Set {
+// set reads a delta-encoded location set. A location outside
+// [0, numLocs) fails the decode before it is added: the set's words grow
+// with its largest member, so one hostile delta would otherwise allocate
+// without bound before validation could reject the trace.
+func (rd *reader) set(numLocs int) *bitset.Set {
 	n := rd.count("set")
-	s := bitset.New(capHint)
-	v := 0
+	s := bitset.New(numLocs)
+	v := uint64(0)
 	for i := 0; i < n && rd.err == nil; i++ {
-		v += int(rd.uvarint())
-		s.Add(v)
+		v += rd.uvarint()
+		if rd.err != nil {
+			break // a failed read may still return a partial value
+		}
+		if v >= uint64(numLocs) {
+			rd.err = fmt.Errorf("location %d out of range [0,%d)", v, numLocs)
+			break
+		}
+		s.Add(int(v))
 	}
 	return s
 }
 
+// pcMap reads a program-counter map. The size hint is capped: the count
+// is untrusted until its entries have actually been read.
 func (rd *reader) pcMap() map[program.Addr]int {
 	n := rd.count("pc map")
-	m := make(map[program.Addr]int, n)
+	if rd.err != nil {
+		return nil
+	}
+	m := make(map[program.Addr]int, min(n, 64))
 	for i := 0; i < n && rd.err == nil; i++ {
 		k := program.Addr(rd.uvarint())
 		m[k] = int(rd.uvarint())
