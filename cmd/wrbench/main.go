@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		htmlOut  = fs.String("html", "", "with -flight or alone: write the segments-32 run's HTML race report to this file")
 		httpAddr = fs.String("http", "", "serve the observability plane (metrics, status, dashboard, pprof) on this address while benching")
 		traject  = fs.String("trajectory", "", "standalone mode: render the checked-in BENCH_*.json files (or the\npositional arguments) into one HTML trend report at this path, then exit")
-		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the parallel-analysis counters (graph.ts.*, graph.build.*,\ntrace.validate.*, detect.sweep.*, detect.condreach.*, detect.arena.*)")
+		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the analysis counters and phases (graph.ts.*, graph.build.*,\ntrace.validate.*, detect.sweep.*, detect.condreach.*, detect.arena.*)")
 		workers  = fs.Int("workers", 0, "worker goroutines for the parallel analysis passes in the detection\nscenarios (0 = GOMAXPROCS); output is byte-identical for every worker count")
 		profile  = fs.String("profile", "", "write a per-scenario CPU profile (<scenario>.pprof) into this directory")
 	)
@@ -498,8 +498,7 @@ func allScenarios(workers int) []scenario {
 			// T3: analysis cost as the trace grows (4..128 segments). The
 			// detector's vc_* counter deltas ride along, normalized per
 			// iteration, so the trajectory records the timestamp layer's
-			// footprint (and a baseline diff catches a silent fallback to
-			// the closure path — vc_builds would drop to zero).
+			// footprint.
 			metrics := map[string]float64{}
 			before := telemetry.Default().Snapshot()
 			for _, segments := range []int{4, 8, 16, 32, 64, 128} {
@@ -593,8 +592,8 @@ func allScenarios(workers int) []scenario {
 			return metrics, nil
 		}},
 		{"postmortem-scaling-xl", func(iters int) (map[string]float64, error) {
-			// PR 10: the regime where the formerly serial phases —
-			// validation, hb1 construction, partition ordering — dominate.
+			// The 100k-event regime, where validation, the timestamp pass
+			// and Tarjan over G′ lead the analysis.
 			// Full Analyze (validation on) over segments 2048/4096 with a
 			// worker sweep {1,2,4,8,16} on each, plus a per-phase
 			// breakdown of one segments-4096 analysis taken from the

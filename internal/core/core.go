@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"weakrace/internal/bitset"
 	"weakrace/internal/graph"
@@ -56,34 +55,15 @@ type Options struct {
 	// e.g. straight from the decoder, on hot benchmark paths).
 	SkipValidate bool
 	// Workers bounds the parallelism of every parallel pass inside one
-	// analysis: the timestamp layer's span fill and the (location, segment-
-	// pair)-sharded race sweep scan. 0 uses GOMAXPROCS; 1 forces the
-	// sequential paths. The Analysis is byte-identical for every worker
-	// count: scan workers produce commutative partial results (data-race
-	// records, sync-race counts, minimal-partner proposals) that are
-	// sorted, summed, or folded by a minimum, and the fill writes disjoint
-	// ranges of slabs whose contents do not depend on the schedule.
+	// analysis: trace validation, the timestamp layer's span fill and the
+	// (location, segment-pair)-sharded race sweep scan. 0 uses GOMAXPROCS;
+	// 1 forces the sequential paths. The Analysis is byte-identical for
+	// every worker count: scan workers produce commutative partial results
+	// (data-race records, sync-race counts, minimal-partner proposals)
+	// that are sorted, summed, or folded by a minimum, and the fill writes
+	// disjoint ranges of slabs whose contents do not depend on the
+	// schedule.
 	Workers int
-	// ExplicitClosure answers hb1 ordering queries with the lazy bitset
-	// transitive closure (graph.NewReachabilityLazy, Analysis.HBReach) the
-	// way PRs 2–3 did. The default (false) timestamps hb1 in one
-	// topological pass instead (graph.Timestamps, Analysis.HBTime): every
-	// ordering query becomes an O(1) per-CPU epoch compare and the race
-	// sweep reads its interval boundaries straight from the clocks, with
-	// no closure rows at all. The two paths produce byte-identical
-	// analyses; the closure path is kept as the reference oracle for the
-	// crosscheck harness and for callers that want HBReach for ad-hoc
-	// component-level queries.
-	ExplicitClosure bool
-	// ExplicitAug materializes the augmented graph G′ the way §4.2 writes
-	// it down: clone hb1, add a doubly-directed edge per race, build a
-	// transitive closure over it (Analysis.Aug/AugReach). The default
-	// (false) runs Tarjan over an implicit adjacency and answers partition
-	// ordering with targeted condensation reachability — same Analysis,
-	// none of the edge materialization. The explicit path is kept as the
-	// reference implementation for the equivalence crosscheck and for
-	// callers that want the closure for ad-hoc queries.
-	ExplicitAug bool
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
 	// (sweep records, SCC stacks, race-partner lists). A campaign hands one
 	// arena per in-flight seed down so repeated analyses stop re-allocating
@@ -125,10 +105,6 @@ type Arena struct {
 	idxOff    []int32       // sorted-location offsets into idx (len(locs)+1)
 	units     []sweepUnit   // (location, segment-pair) buckets the scan workers pull
 	recsMerge []pairRec     // parallel merge's concatenation buffer
-	hbCnt     []int32       // parallel hb1 fill: per-event so1 rank counters
-	hbLess    []int32       // parallel hb1 fill: per-event acquires-below-po counts
-	digits    []int32       // radix sort's counting buffer
-	recsTmp   []pairRec     // radix sort's ping-pong buffer
 	// locSlot interns locations into stable accLists slots, so repeated
 	// analyses through one arena reuse the per-location access buffers
 	// instead of rebuilding a map of freshly grown slices every time.
@@ -197,28 +173,12 @@ type Analysis struct {
 	// pass assigns every event's SCC a forward clock and a backward
 	// frontier, making ordering queries O(1) epoch compares and giving
 	// the race sweep and the provenance certificates their per-CPU
-	// interval boundaries directly. Populated on the default path; nil
-	// under Options.ExplicitClosure. Query hb1 ordering through
-	// HBReaches/HBOrdered/HBWindow, which dispatch to whichever oracle
-	// the options built.
+	// interval boundaries directly. HBReaches/HBOrdered/HBWindow wrap it
+	// in event ids.
 	HBTime *graph.Timestamps
-	// HBReach answers hb1 ordering queries with the closure oracle.
-	// Populated only under Options.ExplicitClosure.
-	HBReach *graph.Reachability
-	// Aug is the augmented graph G′: HB plus a doubly-directed edge per
-	// race. Populated only under Options.ExplicitAug; the default path
-	// never materializes G′ (its SCCs are computed over an implicit
-	// adjacency — see buildImplicitAug).
-	Aug *graph.Digraph
-	// AugReach answers affect-ordering queries on G′. Populated only
-	// under Options.ExplicitAug.
-	AugReach *graph.Reachability
-	// AugSCC is the component structure of G′ — the partitions of §4.2.
-	// Always populated (on the implicit path it comes from the overlay
-	// Tarjan run; on the explicit path from AugReach). Component ids may
-	// differ between the two paths (adjacency order steers Tarjan's
-	// numbering) but the components themselves, and everything derived
-	// from them, are identical.
+	// AugSCC is the component structure of G′ — the partitions of §4.2 —
+	// computed by Tarjan over hb1 plus the race-partner lists, without
+	// materializing G′ (see buildImplicitAug).
 	AugSCC *graph.SCC
 
 	// Races lists the data races, sorted by (A, B). Synchronization races
@@ -240,17 +200,17 @@ type Analysis struct {
 
 	base []int // base[c] = EventID of processor c's first event
 
-	augCond         *graph.CondReach // implicit path's partition-order oracle
-	augEdges        int64            // implicit partner entries, or Aug.M() when explicit
+	augCond         *graph.CondReach // G′ condensation reachability: partition order and affects
+	augEdges        int64            // race-partner entries of G′
 	candidatePairs  int64            // conflicting pairs (ordered or not) of the scanned segment pairs
 	raceWorkers     int              // worker count the race search actually used
 	sweepBuckets    int64            // (location, segment-pair) units the scan was sharded into
 	vcWindowQueries int64            // sweep boundary lookups answered by HBTime
 	// pairShift is the bit width of this trace's event ids: packed pair
-	// keys are lo<<pairShift | hi, so they span only 2·⌈log₂ n⌉ bits and
-	// the radix sort runs the fewest counting passes the ids allow.
-	// Packing tightly (instead of a fixed <<32) preserves the (lo, hi)
-	// lexicographic order the coalesce and the report depend on.
+	// keys are lo<<pairShift | hi. Packing at the id width keeps keys
+	// within 64 bits for any trace with fewer than 2³² events, and
+	// preserves the (lo, hi) lexicographic order the coalesce and the
+	// report depend on.
 	pairShift uint
 }
 
@@ -280,15 +240,9 @@ func (a *Analysis) NumRaces() int64 { return int64(len(a.Races)) + a.SyncRaces }
 func (a *Analysis) RaceFree() bool { return len(a.DataRaces) == 0 }
 
 // HBReaches reports u ⇝ v in hb1 (reflexively: HBReaches(u, u) is true),
-// dispatching to whichever ordering oracle the options built — the
-// vector-clock timestamps by default, the explicit closure under
-// Options.ExplicitClosure. The two oracles agree on every pair (the
-// crosscheck harness pins this), so callers never need to know which ran.
+// one epoch compare on the vector-clock timestamps.
 func (a *Analysis) HBReaches(u, v EventID) bool {
-	if a.HBTime != nil {
-		return a.HBTime.Reaches(int(u), int(v))
-	}
-	return a.HBReach.Reaches(int(u), int(v))
+	return a.HBTime.Reaches(int(u), int(v))
 }
 
 // HBOrdered reports whether u and v are hb1-ordered either way — the
@@ -303,24 +257,11 @@ func (a *Analysis) HBOrdered(u, v EventID) bool {
 // happens-before-1 (the stream length when none). Program order makes
 // the reaching events a prefix and the reached events a suffix, so
 // events strictly inside (lastPred, firstSucc) are exactly the ones
-// unordered with x — the absence certificate provenance emits. On the
-// timestamp path both bounds are two slab reads; under ExplicitClosure
-// they are recovered by binary search over the monotone closure
-// predicates.
+// unordered with x — the absence certificate provenance emits. Both
+// bounds are two slab reads off x's clock.
 func (a *Analysis) HBWindow(x EventID, cpu int) (lastPred, firstSucc int) {
-	if a.HBTime != nil {
-		predCount, succPos := a.HBTime.Window(int(x), cpu)
-		return int(predCount) - 1, int(succPos)
-	}
-	n := len(a.Trace.PerCPU[cpu])
-	base := a.base[cpu]
-	lastPred = sort.Search(n, func(j int) bool {
-		return !a.HBReach.Reaches(base+j, int(x))
-	}) - 1
-	firstSucc = sort.Search(n, func(j int) bool {
-		return a.HBReach.Reaches(int(x), base+j)
-	})
-	return lastPred, firstSucc
+	predCount, succPos := a.HBTime.Window(int(x), cpu)
+	return int(predCount) - 1, int(succPos)
 }
 
 // Analyze runs the full post-mortem detection pipeline on a trace.
@@ -362,37 +303,21 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	a.fillStreamIndex()
 
 	done := startPhase(reg, fl, "detect.build_hb")
-	a.buildHB()
+	a.buildHB(reg)
 	done()
+	// One topological pass timestamps hb1 — O(events × CPUs) total, and
+	// the sweep's interval boundaries fall out of the clocks. The span
+	// fill inside shares the analysis's worker budget.
 	done = startPhase(reg, fl, "detect.hb_reach")
-	if opts.ExplicitClosure {
-		// Lazy closure oracle: the race search's pre-checks (component id,
-		// topological level) answer most ordering queries without closure
-		// rows, so sparse-race traces never materialize the full O(C²/64)
-		// closure.
-		a.HBReach = graph.NewReachabilityLazy(a.HB)
-	} else {
-		// Default path: one topological pass timestamps hb1 — O(events ×
-		// CPUs) total, no rows ever, and the sweep's interval boundaries
-		// fall out of the clocks for free. The span fill inside shares the
-		// analysis's worker budget.
-		ar := a.Options.Arena
-		a.HBTime = graph.NewTimestamps(a.HB, ar.cpuOf[:a.NumEvents], ar.posOf[:a.NumEvents],
-			t.NumCPUs, &ar.scratch, a.resolveWorkers())
-	}
+	ar := a.Options.Arena
+	a.HBTime = graph.NewTimestamps(a.HB, ar.cpuOf[:a.NumEvents], ar.posOf[:a.NumEvents],
+		t.NumCPUs, &ar.scratch, a.resolveWorkers())
 	done()
 	done = startPhase(reg, fl, "detect.find_races")
 	a.findRaces(reg, fl)
 	done()
 	done = startPhase(reg, fl, "detect.augment")
-	if opts.ExplicitAug {
-		a.buildAugmented()
-		a.AugReach = graph.NewReachabilityLazy(a.Aug)
-		a.AugSCC = a.AugReach.SCC()
-		a.augEdges = int64(a.Aug.M())
-	} else {
-		a.buildImplicitAug()
-	}
+	a.buildImplicitAug()
 	done()
 	done = startPhase(reg, fl, "detect.partition")
 	a.partition(reg, fl)
@@ -438,9 +363,8 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	reg.Counter("detect.events").Add(int64(a.NumEvents))
 	reg.Counter("detect.hb_edges").Add(int64(a.HB.M()))
 	// detect.aug_edges counts the augmentation work actually represented:
-	// per-node race-partner entries on the implicit path (at most
-	// racy-nodes × (CPUs−1), since partners collapse to the po-minimal
-	// event per CPU), or G′'s materialized edge count under ExplicitAug.
+	// per-node race-partner entries (at most racy-nodes × (CPUs−1), since
+	// partners collapse to the po-minimal event per CPU).
 	reg.Counter("detect.aug_edges").Add(a.augEdges)
 	reg.Counter("detect.races").Add(a.NumRaces())
 	reg.Counter("detect.data_races").Add(int64(len(a.DataRaces)))
@@ -466,24 +390,19 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	}
 	// detect.vc_* is the timestamp layer's footprint: analyses that used
 	// it, its component/clock sizes, and the sweep boundary lookups it
-	// answered (each replacing an amortized run of closure queries).
-	// Absent entirely when the closure path ran instead — mirroring
-	// graph.reach.*, which now only appears when a closure was actually
-	// built. detect.vc_hb_fastpath_hits (the G′ queries the hb1 clock
+	// answered. detect.vc_hb_fastpath_hits (the G′ queries the hb1 clock
 	// settles before any condensation DFS) is incremented live at the
 	// query site instead: Definition-3.3 queries arrive through the
 	// Affects API after the analysis — and its flush — have finished.
-	if a.HBTime != nil {
-		reg.Counter("detect.vc_builds").Inc()
-		reg.Counter("detect.vc_components").Add(int64(a.HBTime.SCC().NumComponents()))
-		reg.Gauge("detect.vc_width").SetMax(int64(a.HBTime.Width()))
-		reg.Counter("detect.vc_window_queries").Add(a.vcWindowQueries)
-	}
+	reg.Counter("detect.vc_builds").Inc()
+	reg.Counter("detect.vc_components").Add(int64(a.HBTime.SCC().NumComponents()))
+	reg.Gauge("detect.vc_width").SetMax(int64(a.HBTime.Width()))
+	reg.Counter("detect.vc_window_queries").Add(a.vcWindowQueries)
 	reg.Counter("detect.scc.components").Add(int64(a.AugSCC.NumComponents()))
 	// detect.scc.max_size is the largest SCC of the AUGMENTED graph G′
 	// per analysis — the partition-structure view. The graph layer's
 	// graph.scc.max_size gauge instead tracks the largest SCC across
-	// every SCC computation (hb1 and augmented, explicit or implicit).
+	// every SCC computation (hb1 and augmented).
 	// Both reuse the size Tarjan tracked while closing components;
 	// nothing rescans Members.
 	reg.Gauge("detect.scc.max_size").SetMax(int64(a.AugSCC.MaxSize()))
@@ -496,51 +415,19 @@ func (a *Analysis) pairs(ev *trace.Event) bool {
 		ev.Observed.Valid() && a.Options.Pairing.CanPair(ev.ObservedRole)
 }
 
-// hbParallelCutoff is the event count below which hb1 construction
-// stays on the calling goroutine; both paths build byte-identical
-// graphs, so the cutoff is purely a scheduling decision.
-const hbParallelCutoff = 1 << 13
-
-// hbChunk is the number of source events per parallel counting unit.
-const hbChunk = 4096
-
 // buildHB constructs the happens-before-1 graph: po edges between
 // consecutive events of each processor, so1 edges from each paired release
 // to its acquire (Definition 2.2), subject to the pairing policy. A
 // counting pass sizes every adjacency list first, so edge insertion fills
 // one slab — two allocations per analysis instead of one per event.
-//
-// Above hbParallelCutoff the two passes fan out over the worker budget
-// (see buildHBParallel); the resulting Digraph is byte-identical to the
-// serial build for every worker count.
-func (a *Analysis) buildHB() {
-	reg := telemetry.Default()
-	workers := a.resolveWorkers()
-	if a.NumEvents < hbParallelCutoff {
-		workers = 1
-	}
-	if reg.Enabled() {
-		reg.Gauge("graph.build.workers").SetMax(int64(workers))
-	}
-	if workers <= 1 {
-		a.buildHBSerial(reg)
-	} else {
-		a.buildHBParallel(reg, workers)
-	}
-}
-
-// buildHBSerial is the sequential build: count degrees, carve the slab,
-// append every edge in processor-major scan order.
-func (a *Analysis) buildHBSerial(reg *telemetry.Registry) {
+func (a *Analysis) buildHB(reg *telemetry.Registry) {
 	ar := a.Options.Arena
 	n := a.NumEvents
 	if cap(ar.degOf) < n {
 		ar.degOf = make([]int32, n)
 	}
 	deg := ar.degOf[:n]
-	for i := range deg {
-		deg[i] = 0
-	}
+	clear(deg)
 	sp := reg.StartSpan("graph.build.count")
 	for c, evs := range a.Trace.PerCPU {
 		for i := range evs {
@@ -569,169 +456,6 @@ func (a *Analysis) buildHBSerial(reg *telemetry.Registry) {
 	a.HB = g
 }
 
-// soRec is one so1 edge in flight during the parallel build: obs is the
-// observed synchronization write (the edge's source), v the acquire
-// that contributes the edge (its scan-order position).
-type soRec struct{ obs, v int32 }
-
-// buildHBParallel builds the same Digraph as buildHBSerial with the
-// passes fanned out, reproducing the serial adjacency order exactly.
-//
-// The serial scan appends each node u's edges in ascending order of the
-// CONTRIBUTING event's id: a po edge u→u+1 is appended while scanning u
-// itself, an so1 edge u→v while scanning the acquire v. So adj[u] is
-// {u's po successor} ∪ {observing acquires v}, merge-sorted by
-// contributor id — a position every edge can compute locally:
-//
-//	so1 slot of (u, v) = rank of v among u's acquires (v-ascending)
-//	                     + 1 if u has a po edge and u < v
-//	po  slot of u      = number of u's acquires with v < u
-//
-// Three phases keep every write disjoint: source-chunk units collect
-// so1 records bucketed by the observed event's stream; per-stream
-// workers concatenate their buckets in unit order (= v-ascending),
-// count degrees (po edges and record targets both live in the owned
-// stream), and — after a serial slab carve — place every edge at its
-// computed slot. No ordering ever depends on which worker ran first.
-func (a *Analysis) buildHBParallel(reg *telemetry.Registry, workers int) {
-	ar := a.Options.Arena
-	t := a.Trace
-	n := a.NumEvents
-	if cap(ar.degOf) < n {
-		ar.degOf = make([]int32, n)
-	}
-	deg := ar.degOf[:n]
-	clear(deg)
-
-	sp := reg.StartSpan("graph.build.count")
-	// Phase 1: source chunks collect so1 records, bucketed by the
-	// observed event's stream — the slab range the edge lands in.
-	type hbUnit struct {
-		c, lo, hi int
-		recs      [][]soRec
-	}
-	var units []hbUnit
-	for c, evs := range t.PerCPU {
-		for lo := 0; lo < len(evs); lo += hbChunk {
-			hi := min(lo+hbChunk, len(evs))
-			units = append(units, hbUnit{c: c, lo: lo, hi: hi})
-		}
-	}
-	runUnits(workers, len(units), func(k int) {
-		u := &units[k]
-		u.recs = make([][]soRec, t.NumCPUs)
-		evs := t.PerCPU[u.c]
-		base := a.base[u.c]
-		for i := u.lo; i < u.hi; i++ {
-			if ev := evs[i]; a.pairs(ev) {
-				s := ev.Observed.CPU
-				u.recs[s] = append(u.recs[s], soRec{obs: int32(a.ID(ev.Observed)), v: int32(base + i)})
-			}
-		}
-	})
-
-	// Phase 2: per-stream workers concatenate their buckets in unit
-	// order — units are enumerated processor-major, so the result is
-	// ascending in v — and count degrees. Both the po targets and the
-	// record targets of stream s lie in s's slab range, so the deg
-	// writes are disjoint across workers.
-	recsBy := make([][]soRec, t.NumCPUs)
-	runUnits(workers, t.NumCPUs, func(s int) {
-		total := 0
-		for k := range units {
-			total += len(units[k].recs[s])
-		}
-		recs := make([]soRec, 0, total)
-		for k := range units {
-			recs = append(recs, units[k].recs[s]...)
-		}
-		recsBy[s] = recs
-		base, evs := a.base[s], t.PerCPU[s]
-		for i := 0; i+1 < len(evs); i++ {
-			deg[base+i]++
-		}
-		for _, r := range recs {
-			deg[r.obs]++
-		}
-	})
-	g := graph.NewPlaced(deg)
-	sp.End()
-
-	sp = reg.StartSpan("graph.build.fill")
-	// Phase 3: place each edge at the slot the serial builder would
-	// have appended it to. One v-ascending pass over a stream's records
-	// yields each record's rank (cnt) and each event's below-po acquire
-	// count (less); the po edges then land at their final slots.
-	if cap(ar.hbCnt) < n {
-		ar.hbCnt = make([]int32, n)
-		ar.hbLess = make([]int32, n)
-	}
-	runUnits(workers, t.NumCPUs, func(s int) {
-		base, evs := a.base[s], t.PerCPU[s]
-		cnt := ar.hbCnt[base : base+len(evs)]
-		less := ar.hbLess[base : base+len(evs)]
-		clear(cnt)
-		clear(less)
-		for _, r := range recsBy[s] {
-			o := int(r.obs) - base
-			slot := int(cnt[o])
-			cnt[o]++
-			if r.v < r.obs {
-				less[o]++
-			} else if o+1 < len(evs) {
-				slot++ // the po edge's contributor (u itself) precedes this acquire
-			}
-			g.Place(int(r.obs), slot, int(r.v))
-		}
-		for i := 0; i+1 < len(evs); i++ {
-			g.Place(base+i, int(less[i]), base+i+1)
-		}
-	})
-	sp.End()
-	a.HB = g
-}
-
-// runUnits fans k units out over a worker pool pulling an atomic
-// cursor; fn must only write unit-owned state. With one worker (or one
-// unit) everything runs on the calling goroutine.
-func runUnits(workers, k int, fn func(int)) {
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for i := 0; i < k; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= k {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// augCompReaches answers component-level G′ reachability through
-// whichever oracle the options built: the explicit closure, or the
-// implicit path's memoized condensation DFS.
-func (a *Analysis) augCompReaches(c1, c2 int) bool {
-	if a.AugReach != nil {
-		return a.AugReach.ComponentReaches(c1, c2)
-	}
-	return a.augCond.ComponentReaches(c1, c2)
-}
-
 // vcFastpathHit counts a G′ reachability query settled by the hb1 clock
 // pre-check. Incremented live (not at flushTelemetry) because the
 // Definition-3.3 queries arrive through the Affects API after Analyze
@@ -742,36 +466,11 @@ func vcFastpathHit() {
 	}
 }
 
-// augReaches answers event-level G′ reachability (Definition 3.3's
-// affects paths). hb1 ⊆ G′, so when the timestamp layer is live its O(1)
-// epoch compare settles positive hb1-ordered queries before the
-// condensation oracle (or the explicit closure) is consulted; a negative
-// answer proves nothing about G′ — race edges add paths hb1 lacks — and
-// falls through.
-func (a *Analysis) augReaches(u, v int) bool {
-	if a.HBTime != nil && a.HBTime.Reaches(u, v) {
-		vcFastpathHit()
-		return true
-	}
-	if a.AugReach != nil {
-		return a.AugReach.Reaches(u, v)
-	}
-	return a.augCond.Reaches(u, v)
-}
-
 // partition groups the data races by the SCCs of G′ and computes the first
-// partitions under the partial order P of Definition 4.1.
-//
-// The ordering runs in two phases. detect.condreach.materialize
-// pre-builds the condensation reachability rows of every partition
-// component that can be a non-trivial query source (all but the
-// minimum id — reverse-topological numbering answers the minimum's
-// queries without a row), with CondReach's CAS-publishing worker pool.
-// detect.condreach.order then evaluates the O(k²) "does any other
-// partition reach p" loop with partitions fanned out over the worker
-// budget: every query is a lock-free row load, each worker writes only
-// its own partition's First flag, and the flags are pure functions of
-// G′ — identical for every worker count and schedule.
+// partitions under the partial order P of Definition 4.1: a partition is
+// first iff no OTHER data-race partition reaches it. Each query is a
+// condensation-reachability lookup whose descendant row CondReach builds
+// by one memoized DFS on first use.
 func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 	scc := a.AugSCC
 	byComp := map[int]*Partition{}
@@ -806,45 +505,16 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Events[0] < parts[j].Events[0] })
 
-	workers := a.resolveWorkers()
-	if reg.Enabled() && len(parts) > 0 {
-		reg.Gauge("detect.condreach.workers").SetMax(int64(workers))
-	}
-	// Both phases fire regardless of worker count or partition count, so
-	// flight recordings stay byte-identical across worker counts.
-	done := startPhase(reg, fl, "detect.condreach.materialize")
-	if a.augCond != nil && len(parts) > 1 {
-		minComp := parts[0].Component
-		for _, p := range parts[1:] {
-			if p.Component < minComp {
-				minComp = p.Component
-			}
-		}
-		comps := make([]int, 0, len(parts)-1)
-		for _, p := range parts {
-			if p.Component != minComp {
-				comps = append(comps, p.Component)
-			}
-		}
-		a.augCond.MaterializeRows(comps, workers)
-	}
-	done()
-
-	// A partition is first iff no OTHER data-race partition reaches it.
-	done = startPhase(reg, fl, "detect.condreach.order")
-	runUnits(workers, len(parts), func(i int) {
-		p := parts[i]
+	done := startPhase(reg, fl, "detect.condreach.order")
+	for i, p := range parts {
 		p.First = true
 		for j, q := range parts {
-			if i == j {
-				continue
-			}
-			if a.augCompReaches(q.Component, p.Component) {
+			if i != j && a.augCond.ComponentReaches(q.Component, p.Component) {
 				p.First = false
 				break
 			}
 		}
-	})
+	}
 	done()
 	a.Partitions = make([]Partition, len(parts))
 	for i, p := range parts {
@@ -858,7 +528,7 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 // PartitionPrecedes reports whether partition i precedes partition j in
 // the order P: a path exists in G′ from an event of i to an event of j.
 func (a *Analysis) PartitionPrecedes(i, j int) bool {
-	return a.augCompReaches(a.Partitions[i].Component, a.Partitions[j].Component)
+	return a.augCond.ComponentReaches(a.Partitions[i].Component, a.Partitions[j].Component)
 }
 
 // LowerLevelRace describes one lower-level (operation-granularity) race

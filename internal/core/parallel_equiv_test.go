@@ -94,16 +94,16 @@ func TestParallelFindRacesEquivalent(t *testing.T) {
 }
 
 // TestParallelAnalysisCorpusEquivalent pins the FULL parallel pipeline —
-// the span-filled timestamp pass, the (location, segment-pair)-sharded
-// sweep, and its parallel merge, radix sort, and coalesce — on the
-// frozen 60-trace corpus: for worker counts {1, 2, 3, 8} the Analysis,
-// the rendered report, and the flight recording must be byte-identical.
-// Phase records carry wall-clock durations that legitimately vary
-// run-to-run, so they are compared structurally (the per-analysis phase
-// name sequence must match exactly) while every other record is compared
-// as serialized JSONL bytes with the emission timestamp zeroed. Run
-// under -race in CI, this doubles as the data-race proof for every new
-// parallel pass.
+// the parallel validator, the span-filled timestamp pass, and the
+// (location, segment-pair)-sharded sweep with its merge, sort, and
+// coalesce — on the frozen 60-trace corpus: for worker counts
+// {1, 2, 3, 8, 16} the Analysis, the rendered report, and the flight
+// recording must be byte-identical. Phase records carry wall-clock
+// durations that legitimately vary run-to-run, so they are compared
+// structurally (the per-analysis phase name sequence must match exactly)
+// while every other record is compared as serialized JSONL bytes with
+// the emission timestamp zeroed. Run under -race in CI, this doubles as
+// the data-race proof for every parallel pass.
 func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 	for trial, c := range workload.Corpus(60, 1) {
 		w, model, seed := c.Workload, c.Model, c.Seed

@@ -31,77 +31,72 @@ func chainTrace() *trace.Trace {
 }
 
 // TestPartitionOrderingChain pins down the partition order machinery on a
-// crafted multi-partition trace, on both the implicit (default) and
-// explicit G′ paths: PartitionPrecedes antisymmetry, FirstPartitions
-// minimality, and the expected chain structure.
+// crafted multi-partition trace: PartitionPrecedes antisymmetry,
+// FirstPartitions minimality, and the expected chain structure.
 func TestPartitionOrderingChain(t *testing.T) {
-	for _, explicit := range []bool{false, true} {
-		name := "implicit"
-		if explicit {
-			name = "explicit"
+	// The subtest name is kept from when an explicit-G′ variant ran beside
+	// it; the implicit augmented graph is now the only path.
+	t.Run("implicit", func(t *testing.T) {
+		a := analyze(t, chainTrace(), Options{})
+		if len(a.DataRaces) != 3 {
+			t.Fatalf("want 3 data races, got %d: %+v", len(a.DataRaces), a.Races)
 		}
-		t.Run(name, func(t *testing.T) {
-			a := analyze(t, chainTrace(), Options{ExplicitAug: explicit})
-			if len(a.DataRaces) != 3 {
-				t.Fatalf("want 3 data races, got %d: %+v", len(a.DataRaces), a.Races)
+		if len(a.Partitions) != 3 {
+			t.Fatalf("want 3 partitions, got %d: %+v", len(a.Partitions), a.Partitions)
+		}
+		// Partitions sort by smallest event, so index i is the race on
+		// location i, with events {P1 segment i, P2 segment i}.
+		wantEvents := [][]EventID{{0, 5}, {2, 7}, {4, 9}}
+		for i, p := range a.Partitions {
+			if len(p.Events) != 2 || p.Events[0] != wantEvents[i][0] || p.Events[1] != wantEvents[i][1] {
+				t.Fatalf("partition %d events = %v, want %v", i, p.Events, wantEvents[i])
 			}
-			if len(a.Partitions) != 3 {
-				t.Fatalf("want 3 partitions, got %d: %+v", len(a.Partitions), a.Partitions)
-			}
-			// Partitions sort by smallest event, so index i is the race on
-			// location i, with events {P1 segment i, P2 segment i}.
-			wantEvents := [][]EventID{{0, 5}, {2, 7}, {4, 9}}
-			for i, p := range a.Partitions {
-				if len(p.Events) != 2 || p.Events[0] != wantEvents[i][0] || p.Events[1] != wantEvents[i][1] {
-					t.Fatalf("partition %d events = %v, want %v", i, p.Events, wantEvents[i])
+		}
+		// The chain: i precedes j exactly when i < j.
+		for i := range a.Partitions {
+			for j := range a.Partitions {
+				if i == j {
+					continue
+				}
+				if got := a.PartitionPrecedes(i, j); got != (i < j) {
+					t.Fatalf("PartitionPrecedes(%d,%d) = %v, want %v", i, j, got, i < j)
+				}
+				// Antisymmetry: never both directions between distinct
+				// partitions (they are distinct SCCs).
+				if a.PartitionPrecedes(i, j) && a.PartitionPrecedes(j, i) {
+					t.Fatalf("PartitionPrecedes not antisymmetric on (%d,%d)", i, j)
 				}
 			}
-			// The chain: i precedes j exactly when i < j.
-			for i := range a.Partitions {
-				for j := range a.Partitions {
-					if i == j {
-						continue
-					}
-					if got := a.PartitionPrecedes(i, j); got != (i < j) {
-						t.Fatalf("PartitionPrecedes(%d,%d) = %v, want %v", i, j, got, i < j)
-					}
-					// Antisymmetry: never both directions between distinct
-					// partitions (they are distinct SCCs).
-					if a.PartitionPrecedes(i, j) && a.PartitionPrecedes(j, i) {
-						t.Fatalf("PartitionPrecedes not antisymmetric on (%d,%d)", i, j)
-					}
+		}
+		// FirstPartitions minimality: a partition is listed iff no other
+		// partition precedes it.
+		isFirst := map[int]bool{}
+		for _, pi := range a.FirstPartitions {
+			isFirst[pi] = true
+		}
+		for i := range a.Partitions {
+			preceded := false
+			for j := range a.Partitions {
+				if j != i && a.PartitionPrecedes(j, i) {
+					preceded = true
 				}
 			}
-			// FirstPartitions minimality: a partition is listed iff no other
-			// partition precedes it.
-			isFirst := map[int]bool{}
-			for _, pi := range a.FirstPartitions {
-				isFirst[pi] = true
+			if isFirst[i] == preceded {
+				t.Fatalf("partition %d: first=%v but preceded=%v", i, isFirst[i], preceded)
 			}
-			for i := range a.Partitions {
-				preceded := false
-				for j := range a.Partitions {
-					if j != i && a.PartitionPrecedes(j, i) {
-						preceded = true
-					}
-				}
-				if isFirst[i] == preceded {
-					t.Fatalf("partition %d: first=%v but preceded=%v", i, isFirst[i], preceded)
-				}
-				if a.Partitions[i].First != isFirst[i] {
-					t.Fatalf("partition %d: First flag %v disagrees with FirstPartitions", i, a.Partitions[i].First)
-				}
+			if a.Partitions[i].First != isFirst[i] {
+				t.Fatalf("partition %d: First flag %v disagrees with FirstPartitions", i, a.Partitions[i].First)
 			}
-			if len(a.FirstPartitions) != 1 || a.FirstPartitions[0] != 0 {
-				t.Fatalf("want first partitions [0], got %v", a.FirstPartitions)
-			}
-		})
-	}
+		}
+		if len(a.FirstPartitions) != 1 || a.FirstPartitions[0] != 0 {
+			t.Fatalf("want first partitions [0], got %v", a.FirstPartitions)
+		}
+	})
 }
 
-// TestTheorem41BothWays checks Theorem 4.1 in both directions on both
-// G′ paths: a racy trace has at least one first partition, and a
-// properly-synchronized trace has no data races and no first partitions.
+// TestTheorem41BothWays checks Theorem 4.1 in both directions: a racy
+// trace has at least one first partition, and a properly-synchronized
+// trace has no data races and no first partitions.
 func TestTheorem41BothWays(t *testing.T) {
 	const x, L = 0, 1
 	clean := mkTrace(2,
@@ -111,22 +106,18 @@ func TestTheorem41BothWays(t *testing.T) {
 			comp([]int{x}, nil),
 		},
 	)
-	for _, explicit := range []bool{false, true} {
-		name := "implicit"
-		if explicit {
-			name = "explicit"
+	// The subtest name is kept from when an explicit-G′ variant ran beside
+	// it; the implicit augmented graph is now the only path.
+	t.Run("implicit", func(t *testing.T) {
+		racy := analyze(t, chainTrace(), Options{})
+		if len(racy.DataRaces) == 0 || len(racy.FirstPartitions) == 0 {
+			t.Fatalf("racy trace: %d data races, %d first partitions — Theorem 4.1 (⇐) violated",
+				len(racy.DataRaces), len(racy.FirstPartitions))
 		}
-		t.Run(name, func(t *testing.T) {
-			racy := analyze(t, chainTrace(), Options{ExplicitAug: explicit})
-			if len(racy.DataRaces) == 0 || len(racy.FirstPartitions) == 0 {
-				t.Fatalf("racy trace: %d data races, %d first partitions — Theorem 4.1 (⇐) violated",
-					len(racy.DataRaces), len(racy.FirstPartitions))
-			}
-			cleanA := analyze(t, clean, Options{ExplicitAug: explicit})
-			if len(cleanA.DataRaces) != 0 || len(cleanA.FirstPartitions) != 0 {
-				t.Fatalf("synchronized trace: %d data races, %d first partitions — Theorem 4.1 (⇒) violated",
-					len(cleanA.DataRaces), len(cleanA.FirstPartitions))
-			}
-		})
-	}
+		cleanA := analyze(t, clean, Options{})
+		if len(cleanA.DataRaces) != 0 || len(cleanA.FirstPartitions) != 0 {
+			t.Fatalf("synchronized trace: %d data races, %d first partitions — Theorem 4.1 (⇒) violated",
+				len(cleanA.DataRaces), len(cleanA.FirstPartitions))
+		}
+	})
 }

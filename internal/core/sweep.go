@@ -9,6 +9,7 @@ package core
 // partners, and re-derived on demand by ForEachSyncRace.
 
 import (
+	"cmp"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -146,9 +147,8 @@ func (a *Analysis) resolveWorkers() int {
 // and the hb1-unordered partners of x are exactly the window [p, q)
 // between them. Both boundaries are monotone non-decreasing as x
 // advances through its own segment, so one two-pointer pass spends
-// O(|S|+|T|) boundary work per segment pair. On the default timestamp
-// path the boundaries come from HBTime.Window — two slab reads per x;
-// under ExplicitClosure each pointer advance runs one closure query.
+// O(|S|+|T|) boundary work per segment pair. The boundaries come from
+// HBTime.Window — two slab reads per x.
 //
 // From each window the scan takes three things, none of which visits a
 // synchronization–synchronization pair:
@@ -315,7 +315,6 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	// serializing behind one worker.
 	doneScan := startPhase(reg, fl, "detect.sweep.scan")
 	var next atomic.Int64
-	useVC := a.HBTime != nil
 	a.pairShift = uint(bits.Len(uint(a.NumEvents)))
 	shift := a.pairShift
 	type sweepCounts struct{ cand, vcq, syncRaces int64 }
@@ -343,40 +342,28 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 			win := sh.win[:2*sn]
 			// p: end of T's prefix reaching x. q: start of T's suffix
 			// reached by x. Both only move forward while x advances;
-			// [p,q) is x's hb1-unordered window of T. On the timestamp
-			// path both boundaries are read straight off x's clock:
-			// Window gives the exact prefix count and suffix start of
-			// T's WHOLE stream, and event ids are base+pos within a CPU,
-			// so the pointers advance by threshold compares.
+			// [p,q) is x's hb1-unordered window of T. Both boundaries
+			// are read straight off x's clock: Window gives the exact
+			// prefix count and suffix start of T's WHOLE stream, and
+			// event ids are base+pos within a CPU, so the pointers
+			// advance by threshold compares.
 			p, q := T.start, T.start
 			tcpu := int(cpuOf[accs[T.start].ev])
 			tbase := a.base[tcpu]
 			for xi := S.start; xi < S.end; xi++ {
 				x := &accs[xi]
-				if useVC {
-					predCount, succPos := a.HBTime.Window(int(x.ev), tcpu)
-					n.vcq++
-					for p < T.end && int(accs[p].ev)-tbase < int(predCount) {
-						p++
-					}
-					if q < p {
-						// On an hb1 cycle the prefix and suffix can
-						// overlap; the unordered interval is empty.
-						q = p
-					}
-					for q < T.end && int(accs[q].ev)-tbase < int(succPos) {
-						q++
-					}
-				} else {
-					for p < T.end && a.HBReach.Reaches(int(accs[p].ev), int(x.ev)) {
-						p++
-					}
-					if q < p {
-						q = p
-					}
-					for q < T.end && !a.HBReach.Reaches(int(x.ev), int(accs[q].ev)) {
-						q++
-					}
+				predCount, succPos := a.HBTime.Window(int(x.ev), tcpu)
+				n.vcq++
+				for p < T.end && int(accs[p].ev)-tbase < int(predCount) {
+					p++
+				}
+				if q < p {
+					// On an hb1 cycle the prefix and suffix can overlap;
+					// the unordered interval is empty.
+					q = p
+				}
+				for q < T.end && int(accs[q].ev)-tbase < int(succPos) {
+					q++
 				}
 				k := 2 * (xi - S.start)
 				win[k], win[k+1] = p, q
@@ -473,13 +460,13 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	}
 	doneScan()
 
-	// Deterministic merge: concatenate the partials and sort by
-	// (pair, location) — a total order, since each (event pair, location)
-	// combination is produced at most once — so the record sequence, and
-	// with it the Analysis, is byte-identical for every worker count and
-	// work-stealing schedule. The sequential path sorts its single partial
-	// in place; the records are dead after the coalesce below, so every
-	// buffer returns to the arena.
+	// Deterministic merge: concatenate the partials and sort by packed
+	// pair key. Records with equal keys differ only in their location,
+	// which the coalesce folds commutatively, so the Analysis is
+	// byte-identical for every worker count and work-stealing schedule
+	// even though the sort is not stable. The sequential path sorts its
+	// single partial in place; the records are dead after the coalesce
+	// below, so every buffer returns to the arena.
 	doneMerge := startPhase(reg, fl, "detect.sweep.merge")
 	recs := ar.shards[0].recs
 	if workers > 1 {
@@ -496,7 +483,7 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 		}
 		ar.recsMerge = recs
 	}
-	recs = sortRecsByKey(recs, ar)
+	slices.SortFunc(recs, func(x, y pairRec) int { return cmp.Compare(x.key, y.key) })
 	doneMerge()
 
 	doneCoalesce := startPhase(reg, fl, "detect.sweep.coalesce")
@@ -599,73 +586,12 @@ func (a *Analysis) fillRace(r *Race, run []pairRec) {
 	}
 }
 
-// sortRecsByKey sorts the sweep's records by packed pair key — the only
-// order the coalesce needs — with an LSD radix sort over 11-bit digits.
-// Digits that are zero in every key are skipped wholesale: event ids are
-// dense, so a trace with n events uses only ~2·log₂(n) key bits and the
-// usual record sort is two or three counting passes. Ping-pong and
-// counting buffers come from the arena. The returned slice aliases either
-// recs or the arena's buffer.
-func sortRecsByKey(recs []pairRec, ar *Arena) []pairRec {
-	const digitBits = 11
-	const radix = 1 << digitBits
-	if len(recs) < 2*radix {
-		// Counting passes would be dominated by sweeping the count
-		// array; a comparison sort wins on small traces.
-		slices.SortFunc(recs, func(x, y pairRec) int {
-			if x.key < y.key {
-				return -1
-			} else if x.key > y.key {
-				return 1
-			}
-			return 0
-		})
-		return recs
-	}
-	var orKeys uint64
-	for i := range recs {
-		orKeys |= recs[i].key
-	}
-	if cap(ar.recsTmp) < len(recs) {
-		ar.recsTmp = make([]pairRec, len(recs))
-	}
-	src, dst := recs, ar.recsTmp[:len(recs)]
-	if cap(ar.digits) < radix {
-		ar.digits = make([]int32, radix)
-	}
-	count := ar.digits[:radix]
-	for shift := 0; shift < 64; shift += digitBits {
-		if (orKeys>>shift)&(radix-1) == 0 {
-			continue // this digit is zero in every key: identity pass
-		}
-		for d := range count {
-			count[d] = 0
-		}
-		for i := range src {
-			count[(src[i].key>>shift)&(radix-1)]++
-		}
-		sum := int32(0)
-		for d := range count {
-			c := count[d]
-			count[d] = sum
-			sum += c
-		}
-		for i := range src {
-			d := (src[i].key >> shift) & (radix - 1)
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
 // ForEachSyncRace calls f for every synchronization race — two
 // synchronization events on one location, at least one a write, not
 // ordered by hb1 — in (A, B) order, until f returns false. Races holds
 // only the data races; the synchronization races are counted during the
 // sweep (SyncRaces) and re-derived here on demand, for callers that need
-// the pairs themselves, such as the flight recorder and ExplicitAug.
+// the pairs themselves, such as the flight recorder.
 //
 // The cost is one HBWindow query and one binary search per
 // (synchronization event, later CPU) plus one step per synchronization
@@ -766,37 +692,22 @@ func (a *Analysis) ForEachRace(f func(Race) bool) {
 	}
 }
 
-// buildAugmented clones the hb1 graph and adds a doubly-directed edge for
-// every race (§4.2). All races contribute edges — the affects relation of
-// Definition 3.3 is defined over races generally — but only data races
-// form partitions. Each race is one distinct pair, visited once in (A, B)
-// order, so no edge needs a duplicate check. (Races never coincide with
-// an hb1 edge: an hb1-ordered pair is not a race.)
-func (a *Analysis) buildAugmented() {
-	g := a.HB.Clone()
-	a.ForEachRace(func(r Race) bool {
-		g.AddEdge(int(r.A), int(r.B))
-		g.AddEdge(int(r.B), int(r.A))
-		return true
-	})
-	a.Aug = g
-}
-
 // buildImplicitAug computes the partition structure of the augmented
 // graph G′ without materializing G′: Tarjan runs over the implicit
 // adjacency hb1 ⊕ extras, where extras[u] keeps, per partner CPU, only
 // u's po-MINIMAL race partner on that CPU, in ascending CPU order.
 //
-// Collapsing the race edges this way preserves G′'s transitive closure
-// exactly. A dropped edge u→v (v racing u on CPU d) is simulated by the
+// Collapsing the race edges this way preserves the transitive closure of
+// G′ — hb1 plus a doubly-directed edge per race, data or synchronization
+// (§4.2) — exactly. A dropped edge u→v (v racing u on CPU d) is simulated by the
 // kept edge u→m — m the minimal partner of u on d, so m ≤ v — followed
 // by the program-order chain m⇝v inside d's event stream; the reverse
 // edge v→u is simulated symmetrically through v's minimal partner on u's
 // CPU. Kept edges are a subset of the dropped set's closure, so the two
 // closures — and with them the SCCs (as node sets), the condensation
 // reachability, the partitions, and the first-partition flags of
-// Theorems 4.1/4.2 — coincide with the explicit path's. Only raw
-// component IDs may differ (Tarjan numbering follows adjacency order).
+// Theorems 4.1/4.2 — coincide with those of the materialized G′, which
+// the definition-level oracle in internal/crosscheck builds.
 //
 // The entries come from the sweep's partner proposals: one per
 // (access, opposite segment), each the first conflicting access of that

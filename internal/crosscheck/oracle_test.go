@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"weakrace/internal/core"
 	"weakrace/internal/litmus"
 	"weakrace/internal/memmodel"
+	"weakrace/internal/provenance"
 	"weakrace/internal/sim"
 	"weakrace/internal/trace"
 	"weakrace/internal/workload"
@@ -23,6 +25,8 @@ import (
 type oracle struct {
 	n      int
 	events []*trace.Event // by dense processor-major id
+	base   []int          // base[c]: id of processor c's first event
+	lens   []int          // lens[c]: length of processor c's stream
 	hb     [][]bool       // hb[u][v]: u ⇝ v over po ∪ so1, reflexive
 	races  []oracleRace
 	aug    [][]bool // aug[u][v]: u ⇝ v in G′ = hb1 plus a two-way edge per race
@@ -59,14 +63,13 @@ func accessSets(ev *trace.Event) (reads, writes []int) {
 // one breadth-first search per node.
 func closure(adj [][]int) [][]bool {
 	reach := make([][]bool, len(adj))
+	queue := make([]int, 0, len(adj))
 	for u := range adj {
 		reach[u] = make([]bool, len(adj))
 		reach[u][u] = true
-		queue := []int{u}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			for _, y := range adj[x] {
+		queue = append(queue[:0], u)
+		for i := 0; i < len(queue); i++ {
+			for _, y := range adj[queue[i]] {
 				if !reach[u][y] {
 					reach[u][y] = true
 					queue = append(queue, y)
@@ -82,9 +85,11 @@ func newOracle(t *trace.Trace, pairing memmodel.PairingPolicy) *oracle {
 	base := make([]int, t.NumCPUs)
 	for c, evs := range t.PerCPU {
 		base[c] = len(o.events)
+		o.lens = append(o.lens, len(evs))
 		o.events = append(o.events, evs...)
 	}
 	o.n = len(o.events)
+	o.base = base
 
 	// hb1 (Definitions 2.2–2.3): po between consecutive events of one
 	// processor, so1 from a paired release to the acquire that read it.
@@ -106,13 +111,17 @@ func newOracle(t *trace.Trace, pairing memmodel.PairingPolicy) *oracle {
 
 	// Races (Definition 2.4 on events, §4.1): every pair that conflicts
 	// on some location and is ordered by hb1 in neither direction.
+	reads, writes := make([][]int, o.n), make([][]int, o.n)
+	for u, ev := range o.events {
+		reads[u], writes[u] = accessSets(ev)
+	}
 	for u := 0; u < o.n; u++ {
-		ru, wu := accessSets(o.events[u])
+		ru, wu := reads[u], writes[u]
 		for v := u + 1; v < o.n; v++ {
 			if o.hb[u][v] || o.hb[v][u] {
 				continue
 			}
-			rv, wv := accessSets(o.events[v])
+			rv, wv := reads[v], writes[v]
 			var locs []int
 			for _, l := range wu {
 				if slices.Contains(wv, l) || slices.Contains(rv, l) {
@@ -233,11 +242,39 @@ func tarjan(adj [][]int) []int {
 	return comp
 }
 
+// bracket scans processor cpu's stream against event x over the oracle's
+// hb1 table: lastPred is the last index reaching x (-1 when none),
+// firstSucc the first index x reaches (the stream length when none). It
+// also checks the monotonicity the analysis's windows rest on: the events
+// reaching x form a prefix of the stream, the events x reaches a suffix.
+func (o *oracle) bracket(x, cpu int) (lastPred, firstSucc int, err error) {
+	lastPred, firstSucc = -1, o.lens[cpu]
+	for j := 0; j < o.lens[cpu]; j++ {
+		if o.hb[o.base[cpu]+j][x] {
+			if j != lastPred+1 {
+				return 0, 0, fmt.Errorf("events reaching %d on P%d are not a prefix: gap before index %d", x, cpu+1, j)
+			}
+			lastPred = j
+		}
+	}
+	for j := o.lens[cpu] - 1; j >= 0; j-- {
+		if o.hb[x][o.base[cpu]+j] {
+			if j != firstSucc-1 {
+				return 0, 0, fmt.Errorf("events reached by %d on P%d are not a suffix: gap after index %d", x, cpu+1, j)
+			}
+			firstSucc = j
+		}
+	}
+	return lastPred, firstSucc, nil
+}
+
 // checkAgainstOracle compares an analysis with the oracle on everything
 // the analysis reports: data races with their locations, the sync-race
 // count and pairs, partitions as event sets with their races and First
-// flags, the first-partition list, the affects relation on every pair of
-// data races, and Theorem 4.1.
+// flags, the first-partition list, the partition order, the affects
+// relation on every pair of data races, and Theorem 4.1; then, through
+// checkQueriesAgainstOracle, the hb1 queries and the provenance
+// witnesses built on them.
 func checkAgainstOracle(a *core.Analysis, o *oracle) error {
 	var data, sync []oracleRace
 	for _, r := range o.races {
@@ -262,11 +299,16 @@ func checkAgainstOracle(a *core.Analysis, o *oracle) error {
 		gotSync = append(gotSync, oracleRace{a: int(r.A), b: int(r.B), locs: r.Locs.Slice(), data: r.Data})
 		return true
 	})
-	if got, want := render(gotData), render(data); got != want || !allData(gotData, true) {
-		return fmt.Errorf("data races:\n got %s\nwant %s", got, want)
+	same := func(x, y []oracleRace) bool {
+		return slices.EqualFunc(x, y, func(p, q oracleRace) bool {
+			return p.a == q.a && p.b == q.b && p.data == q.data && slices.Equal(p.locs, q.locs)
+		})
 	}
-	if got, want := render(gotSync), render(sync); got != want || !allData(gotSync, false) {
-		return fmt.Errorf("ForEachSyncRace:\n got %s\nwant %s", got, want)
+	if !same(gotData, data) {
+		return fmt.Errorf("data races:\n got %s\nwant %s", render(gotData), render(data))
+	}
+	if !same(gotSync, sync) {
+		return fmt.Errorf("ForEachSyncRace:\n got %s\nwant %s", render(gotSync), render(sync))
 	}
 	if a.SyncRaces != int64(len(sync)) || a.NumRaces() != int64(len(o.races)) {
 		return fmt.Errorf("SyncRaces %d, NumRaces %d; oracle %d sync of %d", a.SyncRaces, a.NumRaces(), len(sync), len(o.races))
@@ -313,20 +355,113 @@ func checkAgainstOracle(a *core.Analysis, o *oracle) error {
 			}
 		}
 	}
+	for i, p := range o.parts {
+		for j, q := range o.parts {
+			if got, want := a.PartitionPrecedes(i, j), o.reaches(p.events, q.events); got != want {
+				return fmt.Errorf("PartitionPrecedes(%d, %d) = %v, oracle %v", i, j, got, want)
+			}
+		}
+	}
 	// Theorem 4.1: no first partitions iff no data races.
 	if (len(a.FirstPartitions) == 0) != (len(data) == 0) {
 		return fmt.Errorf("Theorem 4.1: %d first partitions, %d data races", len(a.FirstPartitions), len(data))
 	}
-	return nil
+	return checkQueriesAgainstOracle(a, o)
 }
 
-func allData(rs []oracleRace, want bool) bool {
-	for _, r := range rs {
-		if r.data != want {
-			return false
+// checkQueriesAgainstOracle checks the analysis's hb1 queries and the
+// provenance witnesses against the oracle's hb1 and G′ tables: HBReaches
+// on every event pair, HBWindow on every (event, CPU) against a linear
+// scan, every certificate's brackets with the racing partner strictly
+// inside, and every affected-by chain, which must run from a first
+// partition to the race's own partition through immediate G′-path hops.
+func checkQueriesAgainstOracle(a *core.Analysis, o *oracle) error {
+	for u := 0; u < o.n; u++ {
+		for v := 0; v < o.n; v++ {
+			if got := a.HBReaches(core.EventID(u), core.EventID(v)); got != o.hb[u][v] {
+				return fmt.Errorf("HBReaches(%d, %d) = %v, oracle %v", u, v, got, o.hb[u][v])
+			}
 		}
 	}
-	return true
+	for x := 0; x < o.n; x++ {
+		for cpu := range o.lens {
+			lastPred, firstSucc, err := o.bracket(x, cpu)
+			if err != nil {
+				return err
+			}
+			if gp, gs := a.HBWindow(core.EventID(x), cpu); gp != lastPred || gs != firstSucc {
+				return fmt.Errorf("HBWindow(%d, cpu %d) = (%d, %d), oracle (%d, %d)", x, cpu, gp, gs, lastPred, firstSucc)
+			}
+		}
+	}
+
+	ws, err := provenance.NewExplainer(a).All()
+	if err != nil {
+		return err
+	}
+	if len(ws) != len(a.Races) {
+		return fmt.Errorf("%d witnesses for %d data races", len(ws), len(a.Races))
+	}
+	// checkBoundary checks the bracket event x cuts out of the partner's
+	// stream: it must be the oracle's, and the partner must lie strictly
+	// inside it, which is what proves the pair hb1-unordered.
+	checkBoundary := func(x int, b provenance.Boundary, partner provenance.Side) error {
+		if b.CPU != partner.CPU || b.Partner != partner.Index {
+			return fmt.Errorf("boundary of %d names P%d index %d; racing side is P%d index %d",
+				x, b.CPU+1, b.Partner, partner.CPU+1, partner.Index)
+		}
+		lastPred, firstSucc, err := o.bracket(x, b.CPU)
+		if err != nil {
+			return err
+		}
+		if b.LastPred != lastPred || b.FirstSucc != firstSucc {
+			return fmt.Errorf("certificate bracket (%d, %d) for event %d on P%d; oracle (%d, %d)",
+				b.LastPred, b.FirstSucc, x, b.CPU+1, lastPred, firstSucc)
+		}
+		if !(b.Partner > b.LastPred && b.Partner < b.FirstSucc) {
+			return fmt.Errorf("partner index %d not strictly inside bracket (%d, %d) of event %d",
+				b.Partner, b.LastPred, b.FirstSucc, x)
+		}
+		return nil
+	}
+	for i, w := range ws {
+		r := a.Races[i]
+		if w.Race != i || w.A.Event != int(r.A) || w.B.Event != int(r.B) {
+			return fmt.Errorf("witness %d explains race %d ⟨%d,%d⟩, want ⟨%d,%d⟩", i, w.Race, w.A.Event, w.B.Event, r.A, r.B)
+		}
+		if err := checkBoundary(w.A.Event, w.Certificate.A, w.B); err != nil {
+			return fmt.Errorf("witness %d: %v", i, err)
+		}
+		if err := checkBoundary(w.B.Event, w.Certificate.B, w.A); err != nil {
+			return fmt.Errorf("witness %d: %v", i, err)
+		}
+		p := o.parts[w.Partition]
+		if !slices.Contains(p.races, [2]int{int(r.A), int(r.B)}) || w.First != p.first {
+			return fmt.Errorf("witness %d: partition %d first %v; oracle partition races %v first %v",
+				i, w.Partition, w.First, p.races, p.first)
+		}
+		if w.First != (len(w.Chain) == 0) {
+			return fmt.Errorf("witness %d: first %v with chain %v", i, w.First, w.Chain)
+		}
+		if len(w.Chain) == 0 {
+			continue
+		}
+		if !o.parts[w.Chain[0]].first || w.Chain[len(w.Chain)-1] != w.Partition {
+			return fmt.Errorf("witness %d: chain %v does not run from a first partition to partition %d", i, w.Chain, w.Partition)
+		}
+		for k := 0; k+1 < len(w.Chain); k++ {
+			from, to := o.parts[w.Chain[k]], o.parts[w.Chain[k+1]]
+			if w.Chain[k] == w.Chain[k+1] || !o.reaches(from.events, to.events) {
+				return fmt.Errorf("witness %d: chain hop %d→%d is not a G′ path", i, w.Chain[k], w.Chain[k+1])
+			}
+			for m, mid := range o.parts {
+				if m != w.Chain[k] && m != w.Chain[k+1] && o.reaches(from.events, mid.events) && o.reaches(mid.events, to.events) {
+					return fmt.Errorf("witness %d: chain hop %d→%d skips partition %d", i, w.Chain[k], w.Chain[k+1], m)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // oracleModels are the models fuzz inputs choose from.
@@ -387,11 +522,10 @@ func fuzzTrace(kind byte, seed int64, data []byte) *trace.Trace {
 
 // FuzzAnalyzeVsOracle checks core.Analyze against the definition-level
 // oracle on small random, litmus, and decoded traces, under both pairing
-// policies, at Workers 1 and 3, on the default path and on the explicit
-// closure and explicit G′ paths. The traces stay below the sweep's
+// policies, at Workers 1 and 3. The traces stay below the sweep's
 // parallel cutoff, so the race sweep runs sequentially even at Workers 3
-// (only partition ordering fans out); the sharded scan and the fold of
-// partner proposals from several shards are pinned by TestParityGolden.
+// (only the timestamp fill and validation take the worker budget);
+// TestAnalyzeVsOracleCorpus's large traces reach the sharded scan.
 func FuzzAnalyzeVsOracle(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(byte(0), seed, []byte{byte(seed), 3, 4, 3, 1, 3, 1, 4, 7})
@@ -420,7 +554,6 @@ func FuzzAnalyzeVsOracle(f *testing.F) {
 		for _, opts := range []core.Options{
 			{Pairing: pairing, Workers: 1},
 			{Pairing: pairing, Workers: 3},
-			{Pairing: pairing, ExplicitClosure: flags[6]%2 == 0, ExplicitAug: flags[6]%2 == 1},
 		} {
 			a, err := core.Analyze(tr, opts)
 			if err != nil {
@@ -433,11 +566,76 @@ func FuzzAnalyzeVsOracle(f *testing.F) {
 	})
 }
 
+// numAccesses counts a trace's accesses the way the race sweep does: one
+// per location an event touches.
+func numAccesses(t *trace.Trace) int {
+	n := 0
+	for _, evs := range t.PerCPU {
+		for _, ev := range evs {
+			if ev.Kind == trace.Sync {
+				n++
+				continue
+			}
+			n += ev.Writes.Len()
+			ev.Reads.Range(func(loc int) bool {
+				if !ev.Writes.Contains(loc) {
+					n++
+				}
+				return true
+			})
+		}
+	}
+	return n
+}
+
+// sweepThresholdAccesses mirrors core's sweepThreshold: traces with fewer
+// accesses are swept by one worker whatever Options.Workers says.
+const sweepThresholdAccesses = 2048
+
+// largeOracleTraces draws random workloads big enough that the race
+// sweep shards its scan over several workers at Workers 3. Long segments
+// over many locations give each computation event dozens of accesses;
+// eight locks keep Test&Set spinning low, since spins add events but few
+// accesses, and their synchronization races cost the oracle
+// quadratically.
+func largeOracleTraces(t *testing.T) []*trace.Trace {
+	t.Helper()
+	rng := rand.New(rand.NewSource(19))
+	var out []*trace.Trace
+	for i := 0; i < 6; i++ {
+		w := workload.Random(workload.RandomParams{
+			Seed:             rng.Int63(),
+			CPUs:             3 + rng.Intn(2),
+			Segments:         40 + rng.Intn(8),
+			OpsPerSegment:    32,
+			SharedLocs:       32,
+			PrivateLocs:      32,
+			Locks:            8,
+			UnlockedFraction: 0.3,
+			SharedFraction:   0.6,
+		})
+		r, err := sim.Run(w.Prog, sim.Config{Model: weakModel(rng), Seed: rng.Int63n(1000), InitMemory: w.InitMemory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.FromExecution(r.Exec)
+		if n := numAccesses(tr); n < sweepThresholdAccesses {
+			t.Fatalf("large oracle trace %d has %d accesses, below the sweep's %d-access parallel cutoff; generator drifted",
+				i, n, sweepThresholdAccesses)
+		}
+		out = append(out, tr)
+	}
+	return out
+}
+
 // TestAnalyzeVsOracleCorpus runs the oracle over the frozen 60-trace
-// corpus and every litmus test on every model, so the definition-level
-// check runs in the ordinary test suite, not only under -fuzz. As in the
-// fuzz target, the race sweep itself runs sequentially at both worker
-// counts.
+// corpus, every litmus test on every model, and six larger random
+// traces, so the definition-level check runs in the ordinary test suite,
+// not only under -fuzz. The corpus and litmus traces run at Workers 1
+// and 3, but their sweep takes one worker either way; the large traces
+// clear the sweep's parallel cutoff and run at Workers 3 under
+// conservative pairing, which checks the sharded scan and the fold of
+// partner proposals from several shards.
 func TestAnalyzeVsOracleCorpus(t *testing.T) {
 	var traces []*trace.Trace
 	for _, c := range workload.Corpus(60, 1) {
@@ -457,18 +655,27 @@ func TestAnalyzeVsOracleCorpus(t *testing.T) {
 			traces = append(traces, trace.FromExecution(r.Exec))
 		}
 	}
-	for i, tr := range traces {
-		for _, pairing := range []memmodel.PairingPolicy{memmodel.ConservativePairing, memmodel.LiberalPairing} {
-			o := newOracle(tr, pairing)
-			for _, w := range []int{1, 3} {
-				a, err := core.Analyze(tr, core.Options{Pairing: pairing, Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := checkAgainstOracle(a, o); err != nil {
-					t.Fatalf("trace %d (%s), %v pairing, Workers=%d: %v", i, tr.ProgramName, pairing, w, err)
-				}
+	check := func(name string, tr *trace.Trace, pairing memmodel.PairingPolicy, workers ...int) {
+		o := newOracle(tr, pairing)
+		for _, w := range workers {
+			a, err := core.Analyze(tr, core.Options{Pairing: pairing, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkAgainstOracle(a, o); err != nil {
+				t.Fatalf("%s (%s), %v pairing, Workers=%d: %v", name, tr.ProgramName, pairing, w, err)
 			}
 		}
+	}
+	for i, tr := range traces {
+		for _, pairing := range []memmodel.PairingPolicy{memmodel.ConservativePairing, memmodel.LiberalPairing} {
+			check(fmt.Sprintf("trace %d", i), tr, pairing, 1, 3)
+		}
+	}
+	// The sweep's sharding does not depend on the pairing policy, so the
+	// large traces run under the default one only: their thousands of
+	// race edges make the oracle's G′ closure the test's main cost.
+	for i, tr := range largeOracleTraces(t) {
+		check(fmt.Sprintf("large trace %d", i), tr, memmodel.ConservativePairing, 3)
 	}
 }

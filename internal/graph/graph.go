@@ -1,6 +1,8 @@
 // Package graph implements the directed-graph machinery the detector needs:
-// adjacency-list digraphs, Tarjan's strongly-connected-components algorithm,
-// condensation, transitive reachability, and topological order.
+// adjacency-list digraphs, Tarjan's strongly-connected-components algorithm
+// over a graph plus an overlay adjacency, the condensation DAG with memoized
+// component reachability (CondReach), and the vector-clock timestamps that
+// answer hb1 ordering queries (Timestamps).
 //
 // The happens-before-1 graph of a weak execution is NOT guaranteed to be
 // acyclic (paper §3.1: "the so1 relation and hence the hb1 relation may
@@ -13,7 +15,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"weakrace/internal/bitset"
@@ -21,27 +22,12 @@ import (
 )
 
 // Digraph is a directed graph over nodes 0..N-1 with adjacency lists.
-// Parallel edges are permitted (and harmless for reachability/SCC);
-// AddEdgeUnique suppresses them where the caller prefers.
-//
-// A Digraph is not safe for concurrent use while it is being mutated;
-// HasEdge and AddEdgeUnique may build a per-node successor index on
-// high-degree nodes, so even query methods count as mutation here.
+// Parallel edges are permitted (and harmless for reachability/SCC).
+// A Digraph is not safe for concurrent use while it is being mutated.
 type Digraph struct {
 	adj  [][]int
 	nEdg int
-	// idx[u] is a successor set for node u, built lazily once u's degree
-	// crosses idxThreshold so HasEdge/AddEdgeUnique stay O(1) instead of
-	// O(out-degree) — the linear scan is a quadratic trap when a caller
-	// funnels many unique edges through one hub node. nil until any node
-	// needs it; maintained by AddEdge once built.
-	idx []map[int]struct{}
 }
-
-// idxThreshold is the out-degree at which HasEdge/AddEdgeUnique switch
-// from a linear adjacency scan to a per-node successor set. Below it the
-// scan wins on constant factors (and most nodes stay below it).
-const idxThreshold = 16
 
 // New returns a digraph with n nodes and no edges.
 func New(n int) *Digraph {
@@ -73,38 +59,6 @@ func NewWithDegrees(deg []int32) *Digraph {
 	return &Digraph{adj: adj}
 }
 
-// NewPlaced returns a digraph with len(deg) nodes whose adjacency
-// lists are carved at FULL length deg[u] out of one edge slab, for
-// callers that compute every edge's final slot up front and write them
-// with Place. It produces the same slab layout as NewWithDegrees; a
-// builder that places edge u→v at the slot AddEdge would have appended
-// it to yields a byte-identical adjacency structure — the detector's
-// parallel hb1 fill relies on exactly this. The edge count assumes
-// every slot is placed.
-func NewPlaced(deg []int32) *Digraph {
-	total := 0
-	for _, d := range deg {
-		total += int(d)
-	}
-	slab := make([]int, total)
-	adj := make([][]int, len(deg))
-	off := 0
-	for u, d := range deg {
-		end := off + int(d)
-		adj[u] = slab[off:end:end]
-		off = end
-	}
-	return &Digraph{adj: adj, nEdg: total}
-}
-
-// Place writes v into slot k of node u's pre-sized adjacency list (see
-// NewPlaced). Concurrent Place calls are safe whenever their (u, k)
-// slots are disjoint — the slab-disjointness discipline of the parallel
-// graph fill.
-func (g *Digraph) Place(u, k, v int) {
-	g.adj[u][k] = v
-}
-
 // N returns the number of nodes.
 func (g *Digraph) N() int { return len(g.adj) }
 
@@ -123,49 +77,6 @@ func (g *Digraph) AddEdge(u, v int) {
 	g.check(v)
 	g.adj[u] = append(g.adj[u], v)
 	g.nEdg++
-	if g.idx != nil && g.idx[u] != nil {
-		g.idx[u][v] = struct{}{}
-	}
-}
-
-// succSet returns node u's successor set, building it on first use once
-// u's degree reaches idxThreshold; nil for low-degree nodes.
-func (g *Digraph) succSet(u int) map[int]struct{} {
-	if len(g.adj[u]) < idxThreshold {
-		return nil
-	}
-	if g.idx == nil {
-		g.idx = make([]map[int]struct{}, len(g.adj))
-	}
-	if g.idx[u] == nil {
-		m := make(map[int]struct{}, 2*len(g.adj[u]))
-		for _, w := range g.adj[u] {
-			m[w] = struct{}{}
-		}
-		g.idx[u] = m
-	}
-	return g.idx[u]
-}
-
-// AddEdgeUnique adds u→v unless an identical edge already exists. For
-// low-degree nodes it is an O(out-degree) scan; past idxThreshold it
-// switches to a per-node successor set, so bulk unique insertion through
-// one node is linear overall, not quadratic.
-func (g *Digraph) AddEdgeUnique(u, v int) {
-	g.check(u)
-	g.check(v)
-	if m := g.succSet(u); m != nil {
-		if _, dup := m[v]; dup {
-			return
-		}
-	} else {
-		for _, w := range g.adj[u] {
-			if w == v {
-				return
-			}
-		}
-	}
-	g.AddEdge(u, v)
 }
 
 // Succ returns the successor list of u. The slice is owned by the graph and
@@ -173,48 +84,6 @@ func (g *Digraph) AddEdgeUnique(u, v int) {
 func (g *Digraph) Succ(u int) []int {
 	g.check(u)
 	return g.adj[u]
-}
-
-// HasEdge reports whether the edge u→v exists. O(out-degree) for
-// low-degree nodes; O(1) via the successor set past idxThreshold.
-func (g *Digraph) HasEdge(u, v int) bool {
-	g.check(u)
-	g.check(v)
-	if m := g.succSet(u); m != nil {
-		_, ok := m[v]
-		return ok
-	}
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Clone returns a deep copy of the graph. The detector clones the
-// happens-before-1 graph before augmenting it with race edges so callers
-// keep an unaugmented view. The clone's successor index is rebuilt lazily
-// rather than copied.
-func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{adj: make([][]int, len(g.adj)), nEdg: g.nEdg}
-	for i, a := range g.adj {
-		if len(a) > 0 {
-			c.adj[i] = append([]int(nil), a...)
-		}
-	}
-	return c
-}
-
-// Reverse returns the graph with all edges flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.N())
-	for u, a := range g.adj {
-		for _, v := range a {
-			r.AddEdge(v, u)
-		}
-	}
-	return r
 }
 
 // SCC holds the strongly connected components of a digraph: Comp[v] is the
@@ -236,10 +105,6 @@ func (s *SCC) NumComponents() int { return len(s.Members) }
 // Tarjan closes components, so consumers (telemetry, reports) share one
 // computation instead of each rescanning Members.
 func (s *SCC) MaxSize() int { return s.maxSize }
-
-// SameComponent reports whether u and v are in the same SCC — the paper's
-// test for two race events being in the same partition (§4.2).
-func (s *SCC) SameComponent(u, v int) bool { return s.Comp[u] == s.Comp[v] }
 
 // Scratch holds reusable traversal buffers for StronglyConnectedOverlay
 // and CondensationOverlay: the Tarjan bookkeeping arrays and DFS stacks,
@@ -285,12 +150,6 @@ func (s *Scratch) bytes(buf *[]uint8, n int) []uint8 {
 		*buf = make([]uint8, n)
 	}
 	return (*buf)[:n]
-}
-
-// StronglyConnected computes the SCCs of g using an iterative Tarjan
-// algorithm (iterative so million-node traces cannot overflow the stack).
-func StronglyConnected(g *Digraph) *SCC {
-	return StronglyConnectedOverlay(g, nil, nil)
 }
 
 // StronglyConnectedOverlay computes the SCCs of the graph g ⊕ extra: the
@@ -423,20 +282,13 @@ func StronglyConnectedOverlay(g *Digraph, extra [][]int32, s *Scratch) *SCC {
 	}
 	s.stack, s.callNode, s.callEdge = stack[:0], callNode[:0], callEdge[:0]
 	// graph.scc.max_size tracks the largest SCC across EVERY SCC
-	// computation in the process — hb1 graphs, explicit augmented graphs,
-	// and implicit overlays alike. The per-analysis augmented-graph-only
+	// computation in the process — hb1 graphs and augmented-graph
+	// overlays alike. The per-analysis augmented-graph-only
 	// view is detect.scc.max_size (see core.flushTelemetry).
 	if reg := telemetry.Default(); reg.Enabled() {
 		reg.Gauge("graph.scc.max_size").SetMax(int64(maxSize))
 	}
 	return &SCC{Comp: comp, Members: members, maxSize: maxSize}
-}
-
-// Condensation returns the DAG whose nodes are the SCCs of g, with an edge
-// c1→c2 whenever some edge of g crosses from component c1 to c2. Duplicate
-// cross edges are collapsed.
-func Condensation(g *Digraph, scc *SCC) *Digraph {
-	return CondensationOverlay(g, nil, scc, nil)
 }
 
 // CondensationOverlay builds the condensation DAG of the overlay graph
@@ -501,9 +353,6 @@ func NewCondReach(dag *Digraph, scc *SCC) *CondReach {
 	return &CondReach{scc: scc, dag: dag, rows: make([]atomic.Pointer[bitset.Set], dag.N())}
 }
 
-// SCC returns the component structure the queries are defined over.
-func (r *CondReach) SCC() *SCC { return r.scc }
-
 // ComponentReaches reports whether component c1 reaches c2 in the DAG.
 func (r *CondReach) ComponentReaches(c1, c2 int) bool {
 	if c1 == c2 {
@@ -525,56 +374,13 @@ func (r *CondReach) Reaches(u, v int) bool {
 	return r.ComponentReaches(r.scc.Comp[u], r.scc.Comp[v])
 }
 
-// MaterializeRows pre-builds the descendant rows of the given source
-// components with a pool of workers pulling an atomic cursor, so a
-// caller about to issue a batch of queries — the partition ordering's
-// O(k²) loop — pays the DFS cost up front, in parallel, and every
-// query afterwards is one lock-free load. Each row's content is a pure
-// function of the DAG, so the result is identical for every worker
-// count; concurrent materializers racing down a shared subtree may
-// duplicate work, which compare-and-swap publication discards.
-func (r *CondReach) MaterializeRows(comps []int, workers int) {
-	build := func(c int) {
-		if r.rows[c].Load() == nil {
-			r.materialize(c)
-		}
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	if workers <= 1 {
-		for _, c := range comps {
-			build(c)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(comps) {
-					return
-				}
-				build(comps[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // materialize runs one DFS from c, reusing any descendant rows already
-// built, and publishes the descendant set by compare-and-swap — the
-// lazy-closure publication discipline: a row is stored only once fully
-// built, its content is a pure function of the DAG (the unique
-// descendant set of c), and every query after publication is one atomic
-// load. Concurrent materializers may duplicate a DFS; whichever row
-// publishes first wins and the duplicates are discarded, so no lock
-// ever serializes the workers and the published rows are identical for
-// any schedule.
+// built, and publishes the descendant set by compare-and-swap: a row is
+// stored only once fully built, its content is a pure function of the
+// DAG (the unique descendant set of c), and every query after
+// publication is one atomic load. Concurrent queriers may duplicate a
+// DFS; whichever row publishes first wins and the duplicates are
+// discarded, so the published rows are identical for any schedule.
 func (r *CondReach) materialize(c int) *bitset.Set {
 	row := bitset.New(r.dag.N())
 	row.Add(c)
@@ -601,262 +407,4 @@ func (r *CondReach) materialize(c int) *bitset.Set {
 		reg.Counter("graph.condreach.rows_built").Inc()
 	}
 	return row
-}
-
-// Reachability answers "is there a path u⇝v?" queries on an arbitrary
-// digraph by computing the transitive closure of the SCC condensation
-// with bit-set rows. Two construction modes share the representation:
-//
-//   - NewReachability materializes every row up front — O(C²/64) memory
-//     and one C-bit row union per condensation edge, all carved from a
-//     single slab allocation.
-//   - NewReachabilityLazy materializes a component's row (plus its not-yet
-//     -built descendants) only when a query first needs it, from pooled
-//     slabs — sparse query patterns, e.g. race searches where the level
-//     pre-check resolves most pairs, never pay for the full closure.
-//
-// Before touching a row, every query runs two O(1) pre-checks that need
-// no closure at all: Tarjan numbers components in reverse topological
-// order, so a lower id can never reach a higher id; and a component can
-// only reach components of strictly lower topological level (longest
-// path to a sink). Queries are safe for concurrent use from multiple
-// goroutines, including in lazy mode.
-type Reachability struct {
-	scc   *SCC
-	dag   *Digraph
-	level []int32 // level[c] = longest path (in edges) from component c to a sink
-	rows  []atomic.Pointer[bitset.Set]
-	words int // row width in 64-bit words
-	lazy  bool
-
-	mu   sync.Mutex // serializes lazy materialization; queries on built rows never take it
-	slab []uint64   // current pooled slab lazy rows are carved from
-}
-
-// NewReachability precomputes the full closure for g: every row is
-// materialized at construction, queries never allocate.
-func NewReachability(g *Digraph) *Reachability {
-	return newReachability(g, false)
-}
-
-// NewReachabilityLazy prepares reachability for g without materializing
-// any closure rows; rows are built on demand, memoized, and pooled. Use
-// it when most queries are expected to be resolved by the O(1)
-// pre-checks (same component, component-id direction, topological
-// level), e.g. the detector's race search on sparse-race traces.
-func NewReachabilityLazy(g *Digraph) *Reachability {
-	return newReachability(g, true)
-}
-
-func newReachability(g *Digraph, lazy bool) *Reachability {
-	defer telemetry.Default().StartSpan("graph.reachability").End()
-	scc := StronglyConnected(g)
-	dag := Condensation(g, scc)
-	k := scc.NumComponents()
-	r := &Reachability{
-		scc:   scc,
-		dag:   dag,
-		level: make([]int32, k),
-		rows:  make([]atomic.Pointer[bitset.Set], k),
-		words: (k + wordBits - 1) / wordBits,
-		lazy:  lazy,
-	}
-	// Condensation edges go from higher to lower component ids, so
-	// ascending order sees every successor before its predecessors.
-	for c := 0; c < k; c++ {
-		lvl := int32(0)
-		for _, d := range dag.Succ(c) {
-			if l := r.level[d] + 1; l > lvl {
-				lvl = l
-			}
-		}
-		r.level[c] = lvl
-	}
-	unions, built := 0, 0
-	if !lazy && k > 0 {
-		// Eager: the whole closure in one slab, rows in ascending id order.
-		slab := make([]uint64, k*r.words)
-		for c := 0; c < k; c++ {
-			row := bitset.Wrap(slab[c*r.words : (c+1)*r.words : (c+1)*r.words])
-			row.Add(c)
-			for _, d := range dag.Succ(c) {
-				row.Union(r.rows[d].Load())
-			}
-			unions += len(dag.Succ(c))
-			r.rows[c].Store(row)
-		}
-		built = k
-	}
-	if reg := telemetry.Default(); reg.Enabled() {
-		reg.Counter("graph.reach.builds").Inc()
-		reg.Counter("graph.reach.nodes").Add(int64(g.N()))
-		reg.Counter("graph.reach.edges").Add(int64(g.M()))
-		reg.Counter("graph.reach.components").Add(int64(k))
-		// Transitive-closure work actually performed: one k-bit row union
-		// per condensation edge of a materialized row — the quadratic-ish
-		// term the lazy mode and the level pre-check exist to avoid. A lazy
-		// build that has materialized nothing yet registers no row counters
-		// at all: a zero row count in flight logs must mean "built rows,
-		// none needed", never "never touched a closure" (the misleading
-		// zeros the -metrics output used to print on the implicit path).
-		if built > 0 {
-			reg.Counter("graph.reach.row_unions").Add(int64(unions))
-			reg.Counter("graph.reach.rows_built").Add(int64(built))
-		}
-	}
-	return r
-}
-
-// SCC returns the component structure computed for the graph.
-func (r *Reachability) SCC() *SCC { return r.scc }
-
-// wordBits mirrors the bitset word size for slab sizing.
-const wordBits = 64
-
-// newRowWords carves one row's backing storage from the pooled slab.
-// Caller must hold mu.
-func (r *Reachability) newRowWords() []uint64 {
-	if len(r.slab) < r.words {
-		// Pool slabs 64 rows at a time, capped at what is left to build.
-		n := 64 * r.words
-		if max := len(r.rows) * r.words; n > max {
-			n = max
-		}
-		r.slab = make([]uint64, n)
-	}
-	w := r.slab[:r.words:r.words]
-	r.slab = r.slab[r.words:]
-	return w
-}
-
-// materialize builds (and memoizes) the closure row of component c,
-// building any missing descendant rows first, in reverse topological
-// order. Rows are published with atomic stores so concurrent queries on
-// already-built rows never block on mu.
-func (r *Reachability) materialize(c int) *bitset.Set {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if row := r.rows[c].Load(); row != nil {
-		return row // lost the race to another materializer
-	}
-	built, unions := 0, 0
-	type frame struct{ c, ei int }
-	stack := []frame{{c, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		succ := r.dag.Succ(f.c)
-		if f.ei < len(succ) {
-			d := succ[f.ei]
-			f.ei++
-			if r.rows[d].Load() == nil {
-				stack = append(stack, frame{d, 0})
-			}
-			continue
-		}
-		row := bitset.Wrap(r.newRowWords())
-		row.Add(f.c)
-		for _, d := range succ {
-			row.Union(r.rows[d].Load())
-		}
-		unions += len(succ)
-		built++
-		r.rows[f.c].Store(row)
-		stack = stack[:len(stack)-1]
-	}
-	if reg := telemetry.Default(); reg.Enabled() {
-		reg.Counter("graph.reach.rows_built").Add(int64(built))
-		reg.Counter("graph.reach.row_unions").Add(int64(unions))
-	}
-	return r.rows[c].Load()
-}
-
-// compReaches answers component-level reachability with the O(1)
-// pre-checks first, touching (and in lazy mode materializing) a closure
-// row only when the pre-checks cannot decide.
-func (r *Reachability) compReaches(cu, cv int) bool {
-	if cu == cv {
-		return true
-	}
-	// Component ids descend along condensation edges, and topological
-	// level strictly decreases along any non-trivial path — either check
-	// failing proves there is no path without consulting the closure.
-	if cu < cv || r.level[cu] <= r.level[cv] {
-		return false
-	}
-	row := r.rows[cu].Load()
-	if row == nil {
-		row = r.materialize(cu)
-	}
-	return row.Contains(cv)
-}
-
-// Reaches reports whether there is a (possibly empty) path from u to v.
-// Reaches(u, u) is always true.
-func (r *Reachability) Reaches(u, v int) bool {
-	return r.compReaches(r.scc.Comp[u], r.scc.Comp[v])
-}
-
-// ReachesProper reports whether there is a non-trivial path from u to v:
-// u≠v on a path, or u and v lie on a common cycle.
-func (r *Reachability) ReachesProper(u, v int) bool {
-	if u == v {
-		// A proper path u⇝u exists iff u is on a cycle, i.e. its SCC has
-		// more than one node or a self-loop. Self-loops never occur in
-		// happens-before graphs, so component size is the test we need.
-		return len(r.scc.Members[r.scc.Comp[u]]) > 1
-	}
-	return r.Reaches(u, v)
-}
-
-// Ordered reports whether u and v are ordered either way — the negation of
-// the paper's "not ordered by the hb1 relation" race test.
-func (r *Reachability) Ordered(u, v int) bool {
-	return r.Reaches(u, v) || r.Reaches(v, u)
-}
-
-// ComponentReaches reports whether component c1 reaches component c2 in the
-// condensation (used for the partition order P of Definition 4.1).
-func (r *Reachability) ComponentReaches(c1, c2 int) bool {
-	return r.compReaches(c1, c2)
-}
-
-// TopologicalOrder returns a topological order of g's nodes, or an error if
-// g has a cycle. It is used by the SC-verifier to linearize candidate
-// prefixes.
-func TopologicalOrder(g *Digraph) ([]int, error) {
-	n := g.N()
-	indeg := make([]int, n)
-	for _, a := range g.adj {
-		for _, v := range a {
-			indeg[v]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range g.adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes ordered)", len(order), n)
-	}
-	return order, nil
-}
-
-// IsAcyclic reports whether g has no directed cycle.
-func IsAcyclic(g *Digraph) bool {
-	_, err := TopologicalOrder(g)
-	return err == nil
 }

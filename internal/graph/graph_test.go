@@ -24,6 +24,54 @@ func cycle(n int) *Digraph {
 	return g
 }
 
+// sccOf runs Tarjan over g alone (no overlay).
+func sccOf(g *Digraph) *SCC { return StronglyConnectedOverlay(g, nil, nil) }
+
+// condReach builds the production reachability structure for g: Tarjan,
+// the condensation, and memoized component reachability over it.
+func condReach(g *Digraph) *CondReach {
+	scc := sccOf(g)
+	return NewCondReach(CondensationOverlay(g, nil, scc, nil), scc)
+}
+
+// bruteClosure is the reference every reachability test compares
+// against: reach[u][v] reports a (possibly empty) path u⇝v, found by one
+// depth-first search per node over g.Succ.
+func bruteClosure(g *Digraph) [][]bool {
+	reach := make([][]bool, g.N())
+	for u := range reach {
+		reach[u] = make([]bool, g.N())
+		reach[u][u] = true
+		stack := []int{u}
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, y := range g.Succ(x) {
+				if !reach[u][y] {
+					reach[u][y] = true
+					stack = append(stack, y)
+				}
+			}
+		}
+	}
+	return reach
+}
+
+// checkCondensationOrder reports an edge of dag that does not go from a
+// higher component id to a lower one. Tarjan numbers components in
+// reverse topological order, so such an edge would also be the only way
+// the condensation could contain a cycle.
+func checkCondensationOrder(dag *Digraph) error {
+	for cu := 0; cu < dag.N(); cu++ {
+		for _, cv := range dag.Succ(cu) {
+			if cv >= cu {
+				return fmt.Errorf("condensation edge %d→%d does not descend", cu, cv)
+			}
+		}
+	}
+	return nil
+}
+
 func TestBasicAccessors(t *testing.T) {
 	g := New(3)
 	if g.N() != 3 || g.M() != 0 {
@@ -31,16 +79,15 @@ func TestBasicAccessors(t *testing.T) {
 	}
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1) // parallel edge allowed
-	g.AddEdgeUnique(0, 1)
-	g.AddEdgeUnique(0, 2)
+	g.AddEdge(0, 2)
 	if g.M() != 3 {
-		t.Fatalf("M = %d, want 3 (unique suppressed one duplicate)", g.M())
+		t.Fatalf("M = %d, want 3", g.M())
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Fatal("HasEdge wrong")
+	if s := g.Succ(0); len(s) != 3 || s[0] != 1 || s[1] != 1 || s[2] != 2 {
+		t.Fatalf("Succ(0) = %v, want [1 1 2]", s)
 	}
-	if len(g.Succ(0)) != 3 {
-		t.Fatalf("Succ(0) = %v", g.Succ(0))
+	if len(g.Succ(1)) != 0 {
+		t.Fatalf("Succ(1) = %v, want none", g.Succ(1))
 	}
 }
 
@@ -53,28 +100,8 @@ func TestOutOfRangePanics(t *testing.T) {
 	New(2).AddEdge(0, 2)
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := line(3)
-	c := g.Clone()
-	c.AddEdge(2, 0)
-	if g.HasEdge(2, 0) {
-		t.Fatal("Clone shares adjacency storage")
-	}
-	if g.M() != 2 || c.M() != 3 {
-		t.Fatalf("edge counts g=%d c=%d", g.M(), c.M())
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := line(3)
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
-		t.Fatal("Reverse wrong")
-	}
-}
-
 func TestSCCLine(t *testing.T) {
-	scc := StronglyConnected(line(4))
+	scc := sccOf(line(4))
 	if scc.NumComponents() != 4 {
 		t.Fatalf("components = %d, want 4", scc.NumComponents())
 	}
@@ -87,17 +114,17 @@ func TestSCCLine(t *testing.T) {
 }
 
 func TestSCCCycle(t *testing.T) {
-	scc := StronglyConnected(cycle(5))
+	scc := sccOf(cycle(5))
 	if scc.NumComponents() != 1 {
 		t.Fatalf("components = %d, want 1", scc.NumComponents())
 	}
 	for u := 0; u < 5; u++ {
-		if !scc.SameComponent(0, u) {
+		if scc.Comp[u] != scc.Comp[0] {
 			t.Fatalf("nodes 0 and %d not in same component", u)
 		}
 	}
-	if len(scc.Members[0]) != 5 {
-		t.Fatalf("Members[0] = %v", scc.Members[0])
+	if len(scc.Members[0]) != 5 || scc.MaxSize() != 5 {
+		t.Fatalf("Members[0] = %v, MaxSize %d", scc.Members[0], scc.MaxSize())
 	}
 }
 
@@ -109,16 +136,17 @@ func TestSCCTwoCyclesBridge(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 2)
-	scc := StronglyConnected(g)
+	scc := sccOf(g)
 	if scc.NumComponents() != 3 {
 		t.Fatalf("components = %d, want 3", scc.NumComponents())
 	}
-	if !scc.SameComponent(0, 1) || !scc.SameComponent(2, 3) || scc.SameComponent(1, 2) || scc.SameComponent(4, 0) {
-		t.Fatalf("component assignment wrong: %v", scc.Comp)
+	c := scc.Comp
+	if c[0] != c[1] || c[2] != c[3] || c[1] == c[2] || c[4] == c[0] {
+		t.Fatalf("component assignment wrong: %v", c)
 	}
 	// Reverse topological numbering: {2,3} must be numbered before {0,1}.
-	if scc.Comp[2] >= scc.Comp[0] {
-		t.Fatalf("condensation numbering not reverse-topological: %v", scc.Comp)
+	if c[2] >= c[0] {
+		t.Fatalf("condensation numbering not reverse-topological: %v", c)
 	}
 }
 
@@ -129,21 +157,21 @@ func TestCondensation(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 2) // duplicate cross edge must collapse
 	g.AddEdge(2, 3)
-	scc := StronglyConnected(g)
-	dag := Condensation(g, scc)
+	scc := sccOf(g)
+	dag := CondensationOverlay(g, nil, scc, nil)
 	if dag.N() != 3 {
 		t.Fatalf("condensation nodes = %d, want 3", dag.N())
 	}
 	if dag.M() != 2 {
 		t.Fatalf("condensation edges = %d, want 2 (duplicates collapsed)", dag.M())
 	}
-	if !IsAcyclic(dag) {
-		t.Fatal("condensation has a cycle")
+	if err := checkCondensationOrder(dag); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReachabilityLine(t *testing.T) {
-	r := NewReachability(line(4))
+	r := condReach(line(4))
 	for u := 0; u < 4; u++ {
 		for v := 0; v < 4; v++ {
 			want := u <= v
@@ -151,12 +179,6 @@ func TestReachabilityLine(t *testing.T) {
 				t.Fatalf("Reaches(%d,%d) = %v, want %v", u, v, got, want)
 			}
 		}
-	}
-	if r.ReachesProper(2, 2) {
-		t.Fatal("ReachesProper(2,2) on a line should be false")
-	}
-	if !r.Ordered(0, 3) || !r.Ordered(3, 0) {
-		t.Fatal("Ordered symmetric check failed")
 	}
 }
 
@@ -167,8 +189,8 @@ func TestReachabilityDiamondUnordered(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
-	r := NewReachability(g)
-	if r.Ordered(1, 2) {
+	r := condReach(g)
+	if r.Reaches(1, 2) || r.Reaches(2, 1) {
 		t.Fatal("diamond arms reported ordered")
 	}
 	if !r.Reaches(0, 3) {
@@ -183,15 +205,9 @@ func TestReachabilityWithCycle(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 1)
 	g.AddEdge(2, 3)
-	r := NewReachability(g)
+	r := condReach(g)
 	if !r.Reaches(1, 1) || !r.Reaches(2, 1) || !r.Reaches(1, 3) {
 		t.Fatal("cycle reachability wrong")
-	}
-	if !r.ReachesProper(1, 1) {
-		t.Fatal("node on cycle should properly reach itself")
-	}
-	if r.ReachesProper(0, 0) {
-		t.Fatal("node off cycle should not properly reach itself")
 	}
 	if r.Reaches(3, 0) {
 		t.Fatal("3 should not reach 0")
@@ -205,49 +221,14 @@ func TestComponentReaches(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 2) // comp B
-	r := NewReachability(g)
-	scc := r.SCC()
+	scc := sccOf(g)
+	r := NewCondReach(CondensationOverlay(g, nil, scc, nil), scc)
 	ca, cb := scc.Comp[0], scc.Comp[2]
 	if !r.ComponentReaches(ca, cb) {
 		t.Fatal("component A should reach component B")
 	}
 	if r.ComponentReaches(cb, ca) {
 		t.Fatal("component B should not reach component A")
-	}
-}
-
-func TestTopologicalOrder(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(2, 4)
-	order, err := TopologicalOrder(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make([]int, 5)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for u := 0; u < 5; u++ {
-		for _, v := range g.Succ(u) {
-			if pos[u] >= pos[v] {
-				t.Fatalf("topological order violates edge %d→%d: %v", u, v, order)
-			}
-		}
-	}
-}
-
-func TestTopologicalOrderCycleError(t *testing.T) {
-	if _, err := TopologicalOrder(cycle(3)); err == nil {
-		t.Fatal("cycle not reported")
-	}
-	if IsAcyclic(cycle(3)) {
-		t.Fatal("IsAcyclic(cycle) = true")
-	}
-	if !IsAcyclic(line(3)) {
-		t.Fatal("IsAcyclic(line) = false")
 	}
 }
 
@@ -264,34 +245,18 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Digraph {
 	return g
 }
 
-// bruteReach computes reachability by DFS for cross-checking.
-func bruteReach(g *Digraph, u int) map[int]bool {
-	seen := map[int]bool{u: true}
-	stack := []int{u}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Succ(v) {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
-// Property: fast reachability matches brute-force DFS on random graphs.
+// Property: condensation reachability matches the brute-force closure on
+// random graphs, cycles included.
 func TestQuickReachabilityMatchesDFS(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
 		g := randomGraph(rng, n, 0.12)
-		r := NewReachability(g)
+		r := condReach(g)
+		reach := bruteClosure(g)
 		for u := 0; u < n; u++ {
-			reach := bruteReach(g, u)
 			for v := 0; v < n; v++ {
-				if r.Reaches(u, v) != reach[v] {
+				if r.Reaches(u, v) != reach[u][v] {
 					return false
 				}
 			}
@@ -303,43 +268,16 @@ func TestQuickReachabilityMatchesDFS(t *testing.T) {
 	}
 }
 
-// Property: the lazy closure answers every query exactly like the eager
-// one (and both match brute-force DFS), on random graphs including ones
-// with cycles.
-func TestQuickLazyReachabilityMatchesEager(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := randomGraph(rng, n, 0.12)
-		eager := NewReachability(g)
-		lazy := NewReachabilityLazy(g)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				want := eager.Reaches(u, v)
-				if lazy.Reaches(u, v) != want {
-					return false
-				}
-				if lazy.Ordered(u, v) != eager.Ordered(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Concurrent queries against one lazy closure must agree with the eager
-// answers — run under -race this exercises the atomic row publication and
-// the materialization mutex.
+// Concurrent queries against one CondReach must agree with the
+// brute-force closure — run under -race this exercises the
+// compare-and-swap row publication that makes Affects safe to call from
+// several goroutines.
 func TestLazyReachabilityConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 60
 	g := randomGraph(rng, n, 0.08)
-	eager := NewReachability(g)
-	lazy := NewReachabilityLazy(g)
+	reach := bruteClosure(g)
+	r := condReach(g)
 	var wg sync.WaitGroup
 	errc := make(chan string, 8)
 	for w := 0; w < 8; w++ {
@@ -351,7 +289,7 @@ func TestLazyReachabilityConcurrent(t *testing.T) {
 			for i := 0; i < n*n; i++ {
 				q := (i + w*n*n/8) % (n * n)
 				u, v := q/n, q%n
-				if lazy.Reaches(u, v) != eager.Reaches(u, v) {
+				if r.Reaches(u, v) != reach[u][v] {
 					select {
 					case errc <- fmt.Sprintf("Reaches(%d, %d) mismatch", u, v):
 					default:
@@ -375,12 +313,11 @@ func TestQuickSCCMutualReachability(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(25)
 		g := randomGraph(rng, n, 0.15)
-		scc := StronglyConnected(g)
+		scc := sccOf(g)
+		reach := bruteClosure(g)
 		for u := 0; u < n; u++ {
-			ru := bruteReach(g, u)
 			for v := 0; v < n; v++ {
-				mutual := ru[v] && bruteReach(g, v)[u]
-				if scc.SameComponent(u, v) != mutual {
+				if (scc.Comp[u] == scc.Comp[v]) != (reach[u][v] && reach[v][u]) {
 					return false
 				}
 			}
@@ -398,7 +335,7 @@ func TestQuickSCCNumberingReverseTopological(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(25)
 		g := randomGraph(rng, n, 0.15)
-		scc := StronglyConnected(g)
+		scc := sccOf(g)
 		for u := 0; u < n; u++ {
 			for _, v := range g.Succ(u) {
 				if scc.Comp[u] != scc.Comp[v] && scc.Comp[u] < scc.Comp[v] {
@@ -418,7 +355,7 @@ func TestSCCDeepRecursionSafe(t *testing.T) {
 	// must handle it.
 	const n = 200_000
 	g := line(n)
-	scc := StronglyConnected(g)
+	scc := sccOf(g)
 	if scc.NumComponents() != n {
 		t.Fatalf("components = %d, want %d", scc.NumComponents(), n)
 	}
@@ -429,15 +366,6 @@ func BenchmarkSCCRandom(b *testing.B) {
 	g := randomGraph(rng, 2000, 0.002)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		StronglyConnected(g)
-	}
-}
-
-func BenchmarkReachabilityBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 1000, 0.004)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewReachability(g)
+		sccOf(g)
 	}
 }

@@ -59,8 +59,8 @@ import (
 //
 // The clocks are exact only when every stream's events form a
 // program-order chain in g (the span derivation rides on that chain);
-// arbitrary digraphs without that structure must keep using
-// Reachability.
+// arbitrary digraphs without that structure need CondReach over their
+// condensation instead.
 type Timestamps struct {
 	scc    *SCC
 	stream []int32 // stream[u]: the stream (processor) of node u
@@ -415,21 +415,6 @@ func (t *Timestamps) Reaches(u, v int) bool {
 		return true
 	}
 	return vclock.OrderedFast(t.EpochOf(u), t.VCOf(u), t.VCOf(v))
-}
-
-// ReachesProper reports whether there is a non-trivial path from u to v:
-// u≠v on a path, or u on a cycle when u == v.
-func (t *Timestamps) ReachesProper(u, v int) bool {
-	if u == v {
-		return len(t.scc.Members[t.scc.Comp[u]]) > 1
-	}
-	return t.Reaches(u, v)
-}
-
-// Ordered reports whether u and v are ordered either way — the negation
-// of the paper's "not ordered by the hb1 relation" race test.
-func (t *Timestamps) Ordered(u, v int) bool {
-	return t.Reaches(u, v) || t.Reaches(v, u)
 }
 
 // Window brackets event u against stream p in two slab reads: events of

@@ -4,9 +4,8 @@
 // segment, and locations; an absence certificate proving the pair is
 // hb1-unordered (the nearest hb1 ancestor and descendant of each event
 // on the other event's processor, read in O(1) off the analysis's
-// vector-clock window — or recovered with O(log n) closure queries when
-// the analysis ran with the explicit-closure oracle — never a
-// materialized closure); the race's partition and whether it is first;
+// vector-clock window, never a materialized closure); the race's
+// partition and whether it is first;
 // and, for non-first partitions, the affected-by chain (Definition 3.3)
 // back to a first partition.
 //
@@ -18,7 +17,7 @@
 // that x reaches" bracket an interval, and any event of P strictly
 // inside it is unordered with x. A certificate is therefore four
 // indices, checkable against an explicit transitive closure in O(1)
-// per boundary — which is exactly what the crosscheck harness does.
+// per boundary — which is exactly what the crosscheck oracle does.
 package provenance
 
 import (
@@ -96,8 +95,8 @@ type Witness struct {
 
 // Explainer answers witness queries against one analysis. Building one
 // computes the immediate partition-precedence DAG (partitions are few);
-// certificates are computed lazily per race with O(log n) reachability
-// queries.
+// certificates are computed lazily per race from the analysis's hb1
+// windows.
 type Explainer struct {
 	a *core.Analysis
 	// succ/pred are the immediate edges of the partition order P: an
@@ -202,12 +201,10 @@ func (e *Explainer) side(id core.EventID) Side {
 }
 
 // boundary brackets event x against processor cpu's stream via the
-// analysis's HBWindow — two slab reads off x's vector clock on the
-// default timestamp path, two binary searches over the monotone closure
-// predicates under ExplicitClosure. partnerIdx is the other racing
-// event's index on that stream; for a genuine race it lies strictly
-// inside the bracket (the crosscheck harness asserts this against the
-// explicit closure).
+// analysis's HBWindow — two slab reads off x's vector clock. partnerIdx
+// is the other racing event's index on that stream; for a genuine race
+// it lies strictly inside the bracket (the crosscheck oracle asserts
+// this against its own hb1 closure).
 func (e *Explainer) boundary(x core.EventID, cpu, partnerIdx int) Boundary {
 	a := e.a
 	n := len(a.Trace.PerCPU[cpu])

@@ -17,15 +17,14 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // analyze runs a workload on the weak model with a fixed seed and
-// explains every data race. explicit selects the materialized-G′ path;
-// the witnesses must not depend on which path computed the partitions.
-func analyze(t *testing.T, w *workload.Workload, model memmodel.Model, seed int64, explicit bool) (*core.Analysis, []*Witness) {
+// explains every data race.
+func analyze(t *testing.T, w *workload.Workload, model memmodel.Model, seed int64) (*core.Analysis, []*Witness) {
 	t.Helper()
 	r, err := sim.Run(w.Prog, sim.Config{Model: model, Seed: seed, InitMemory: w.InitMemory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Analyze(trace.FromExecution(r.Exec), core.Options{ExplicitAug: explicit})
+	a, err := core.Analyze(trace.FromExecution(r.Exec), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,36 +63,17 @@ func checkGolden(t *testing.T, name string, ws []*Witness) {
 	}
 }
 
-// sameWitnesses asserts two runs explain the races identically.
-func sameWitnesses(t *testing.T, label string, a, b []*Witness) {
-	t.Helper()
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) != string(jb) {
-		t.Errorf("%s: witnesses differ between implicit and explicit G′ paths:\nimplicit: %s\nexplicit: %s", label, ja, jb)
-	}
-}
-
 // Figure 2 of the paper on WO with the seed that reproduces the stale
-// dequeue: the witnesses for the queue races are pinned, and the
-// explicit-G′ path must agree with the implicit one exactly.
+// dequeue: the witnesses for the queue races are pinned.
 func TestWitnessGoldenFigure2(t *testing.T) {
 	w := workload.Figure2()
-	a, ws := analyze(t, w, memmodel.WO, 674, false)
+	a, ws := analyze(t, w, memmodel.WO, 674)
 	if len(ws) == 0 {
 		t.Fatal("figure-2 seed 674 found no data races; the reproduction seed regressed")
 	}
 	for _, wit := range ws {
 		checkCertificateShape(t, a, wit)
 	}
-	_, explicit := analyze(t, w, memmodel.WO, 674, true)
-	sameWitnesses(t, "figure-2", ws, explicit)
 	checkGolden(t, "figure2_wo_674.json", ws)
 }
 
@@ -102,7 +82,7 @@ func TestWitnessGoldenFigure2(t *testing.T) {
 // first partition and walks immediate precedence edges to its own.
 func TestWitnessGoldenRaceChain(t *testing.T) {
 	w := workload.RaceChain(4)
-	a, ws := analyze(t, w, memmodel.WO, 1, false)
+	a, ws := analyze(t, w, memmodel.WO, 1)
 	if len(ws) == 0 {
 		t.Fatal("race-chain found no data races")
 	}
@@ -135,15 +115,13 @@ func TestWitnessGoldenRaceChain(t *testing.T) {
 	if first == 0 || chained == 0 {
 		t.Fatalf("race-chain should yield both first (%d) and chained (%d) witnesses", first, chained)
 	}
-	_, explicit := analyze(t, w, memmodel.WO, 1, true)
-	sameWitnesses(t, "race-chain", ws, explicit)
 	checkGolden(t, "racechain4_wo_1.json", ws)
 }
 
 // checkCertificateShape verifies the invariants every certificate must
 // satisfy by construction: the partner index lies strictly inside each
 // bracket, and the refs match the bracket indices. (The crosscheck
-// harness verifies the brackets against an explicit transitive closure.)
+// oracle verifies the brackets against its hb1 closure.)
 func checkCertificateShape(t *testing.T, a *core.Analysis, w *Witness) {
 	t.Helper()
 	for side, b := range map[string]Boundary{"a_on_b_cpu": w.Certificate.A, "b_on_a_cpu": w.Certificate.B} {
@@ -172,7 +150,7 @@ func checkCertificateShape(t *testing.T, a *core.Analysis, w *Witness) {
 // index: Analysis.Races lists only data races.)
 func TestExplainErrors(t *testing.T) {
 	w := workload.Figure2()
-	a, _ := analyze(t, w, memmodel.WO, 674, false)
+	a, _ := analyze(t, w, memmodel.WO, 674)
 	e := NewExplainer(a)
 	if _, err := e.Explain(-1); err == nil {
 		t.Error("negative index accepted")
@@ -186,7 +164,7 @@ func TestExplainErrors(t *testing.T) {
 // partition order: every edge a real precedence, no edge implied by a
 // two-hop path, and jointly reconstructing the full order.
 func TestImmediateSuccessorsIsTransitiveReduction(t *testing.T) {
-	a, _ := analyze(t, workload.RaceChain(4), memmodel.WO, 1, false)
+	a, _ := analyze(t, workload.RaceChain(4), memmodel.WO, 1)
 	e := NewExplainer(a)
 	succ := e.ImmediateSuccessors()
 	n := len(a.Partitions)
