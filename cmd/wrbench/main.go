@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		htmlOut  = fs.String("html", "", "with -flight or alone: write the segments-32 run's HTML race report to this file")
 		httpAddr = fs.String("http", "", "serve the observability plane (metrics, status, dashboard, pprof) on this address while benching")
 		traject  = fs.String("trajectory", "", "standalone mode: render the checked-in BENCH_*.json files (or the\npositional arguments) into one HTML trend report at this path, then exit")
-		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the analysis counters and phases (graph.ts.*, graph.build.*,\ntrace.validate.*, detect.sweep.*, detect.condreach.*, detect.arena.*)")
+		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the analysis counters and phases (graph.vc.*, graph.build.*,\ntrace.validate.*, detect.sweep.*, detect.condreach.*, detect.arena.*)")
 		workers  = fs.Int("workers", 0, "worker goroutines for the parallel analysis passes in the detection\nscenarios (0 = GOMAXPROCS); output is byte-identical for every worker count")
 		profile  = fs.String("profile", "", "write a per-scenario CPU profile (<scenario>.pprof) into this directory")
 	)

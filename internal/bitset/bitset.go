@@ -111,13 +111,6 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// Clear removes all elements, retaining capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words))}
@@ -131,34 +124,6 @@ func (s *Set) Union(other *Set) {
 	for i, w := range other.words {
 		s.words[i] |= w
 	}
-}
-
-// Intersects reports whether s and other share any element. This is the
-// conflict test between access sets and is allocation-free.
-func (s *Set) Intersects(other *Set) bool {
-	n := len(s.words)
-	if len(other.words) < n {
-		n = len(other.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&other.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Intersection returns a new set holding the elements common to s and other.
-func (s *Set) Intersection(other *Set) *Set {
-	n := len(s.words)
-	if len(other.words) < n {
-		n = len(other.words)
-	}
-	out := &Set{words: make([]uint64, n)}
-	for i := 0; i < n; i++ {
-		out.words[i] = s.words[i] & other.words[i]
-	}
-	return out
 }
 
 // Equal reports whether s and other contain the same elements.

@@ -54,15 +54,14 @@ type Options struct {
 	// SkipValidate skips trace validation (for traces already validated,
 	// e.g. straight from the decoder, on hot benchmark paths).
 	SkipValidate bool
-	// Workers bounds the parallelism of every parallel pass inside one
-	// analysis: trace validation, the timestamp layer's span fill and the
-	// (location, segment-pair)-sharded race sweep scan. 0 uses GOMAXPROCS;
-	// 1 forces the sequential paths. The Analysis is byte-identical for
-	// every worker count: scan workers produce commutative partial results
-	// (data-race records, sync-race counts, minimal-partner proposals)
-	// that are sorted, summed, or folded by a minimum, and the fill writes
-	// disjoint ranges of slabs whose contents do not depend on the
-	// schedule.
+	// Workers bounds the parallelism of the two parallel passes inside
+	// one analysis: trace validation's stream checks and the (location,
+	// segment-pair)-sharded race sweep scan. 0 uses GOMAXPROCS; 1 forces
+	// the sequential paths. The Analysis is byte-identical for every
+	// worker count: validation workers check disjoint streams, and scan
+	// workers produce commutative partial results (data-race records,
+	// sync-race counts, minimal-partner proposals) that are sorted,
+	// summed, or folded by a minimum.
 	Workers int
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
 	// (sweep records, SCC stacks, race-partner lists). A campaign hands one
@@ -305,13 +304,13 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	done := startPhase(reg, fl, "detect.build_hb")
 	a.buildHB(reg)
 	done()
-	// One topological pass timestamps hb1 — O(events × CPUs) total, and
-	// the sweep's interval boundaries fall out of the clocks. The span
-	// fill inside shares the analysis's worker budget.
+	// One serial pass over hb1's condensation timestamps it —
+	// O(events × CPUs) total — and the sweep's interval boundaries fall
+	// out of the clocks.
 	done = startPhase(reg, fl, "detect.hb_reach")
 	ar := a.Options.Arena
 	a.HBTime = graph.NewTimestamps(a.HB, ar.cpuOf[:a.NumEvents], ar.posOf[:a.NumEvents],
-		t.NumCPUs, &ar.scratch, a.resolveWorkers())
+		t.NumCPUs, &ar.scratch)
 	done()
 	done = startPhase(reg, fl, "detect.find_races")
 	a.findRaces(reg, fl)

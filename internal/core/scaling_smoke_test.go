@@ -15,10 +15,11 @@ import (
 )
 
 // TestParallelScalingSmoke is the CI scaling gate: on a segments-1024
-// trace (~65k events), the FULL analysis — validation, timestamping,
-// hb1 build, partition ordering, and the bucket-sharded sweep — at
-// Workers=4 must beat Workers=1 by at least 2.2x
-// wall clock, and both runs must produce identical analyses.
+// trace (~65k events), the FULL analysis at Workers=4 must beat
+// Workers=1 by at least 2.2x wall clock, and both runs must produce
+// identical analyses. Its two parallel passes are validation's stream
+// checks and the bucket-sharded sweep scan; the hb1 build, the
+// timestamps and partition ordering run serially at every worker count.
 // Wall-clock assertions are meaningless on loaded or single-core
 // machines, so the test only runs when WEAKRACE_SCALING_SMOKE=1 is set
 // (CI's perf-smoke job) and at least 4 CPUs are available; the

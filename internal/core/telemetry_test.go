@@ -57,7 +57,6 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 		"detect.vc_components",
 		"detect.vc_window_queries",
 		"graph.vc.builds",
-		"graph.ts.spans",
 		"detect.sweep.buckets",
 		"trace.builds",
 		"trace.events.comp",
@@ -107,11 +106,7 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 	if snap.Gauges["trace.validate.workers"] < 1 {
 		t.Errorf("trace.validate.workers = %d, want >= 1", snap.Gauges["trace.validate.workers"])
 	}
-	// PR-8 parallel-analysis instrumentation: the timestamp layer's span
-	// statistics and the sweep's per-shard arena high-water marks.
-	if snap.Gauges["graph.ts.span_max_events"] < 1 {
-		t.Errorf("graph.ts.span_max_events = %d, want >= 1", snap.Gauges["graph.ts.span_max_events"])
-	}
+	// The sweep's per-shard arena high-water marks.
 	if snap.Gauges["detect.arena.shards"] < 1 {
 		t.Errorf("detect.arena.shards = %d, want >= 1", snap.Gauges["detect.arena.shards"])
 	}

@@ -524,7 +524,7 @@ func fuzzTrace(kind byte, seed int64, data []byte) *trace.Trace {
 // oracle on small random, litmus, and decoded traces, under both pairing
 // policies, at Workers 1 and 3. The traces stay below the sweep's
 // parallel cutoff, so the race sweep runs sequentially even at Workers 3
-// (only the timestamp fill and validation take the worker budget);
+// (only validation takes the worker budget);
 // TestAnalyzeVsOracleCorpus's large traces reach the sharded scan.
 func FuzzAnalyzeVsOracle(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {

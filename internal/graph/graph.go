@@ -119,35 +119,11 @@ type Scratch struct {
 	stack              []int
 	callNode, callEdge []int
 	keys               []uint64
-	// Timestamp-pass scratch (NewTimestamps): per-node span flags and
-	// span anchors, the stream-major node index, per-component frontier
-	// flags, and the in-edge CSR the forward skeleton pass folds over.
-	tsFlags            []uint8
-	tsHeadOf, tsTailOf []int32
-	tsNodeAt           []int32
-	tsStrStart         []int32
-	tsCompFlags        []uint8
-	tsInOff, tsInCur   []int32
-	tsInSrc            []int32
 }
 
 func (s *Scratch) ints(buf *[]int, n int) []int {
 	if cap(*buf) < n {
 		*buf = make([]int, n)
-	}
-	return (*buf)[:n]
-}
-
-func (s *Scratch) i32s(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	return (*buf)[:n]
-}
-
-func (s *Scratch) bytes(buf *[]uint8, n int) []uint8 {
-	if cap(*buf) < n {
-		*buf = make([]uint8, n)
 	}
 	return (*buf)[:n]
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -41,14 +40,28 @@ func randStreamGraph(rng *rand.Rand, width, maxLen, cross int) (g *Digraph, stre
 	return g, stream, pos
 }
 
+// forEachStreamGraph runs fn on 450 random stream graphs drawn from seed:
+// 150 small ones (up to 5 streams of up to 8 events, up to 24 cross
+// edges), then 300 larger, denser ones (up to 4 streams of up to 12
+// events, up to 29 cross edges) whose backward cross edges close longer
+// and nested hb1 cycles.
+func forEachStreamGraph(seed int64, fn func(trial int, g *Digraph, stream, pos []int32, width int)) {
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 450; trial++ {
+		width, maxLen, cross := 1+rng.Intn(5), 8, rng.Intn(25)
+		if trial >= 150 {
+			width, maxLen, cross = 1+rng.Intn(4), 12, rng.Intn(30)
+		}
+		g, stream, pos := randStreamGraph(rng, width, maxLen, cross)
+		fn(trial, g, stream, pos, width)
+	}
+}
+
 // The timestamp layer must answer every reachability query exactly like
 // the brute-force closure, on acyclic and cyclic stream graphs alike.
 func TestQuickTimestampsMatchReachability(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 150; trial++ {
-		width := 1 + rng.Intn(5)
-		g, stream, pos := randStreamGraph(rng, width, 8, rng.Intn(25))
-		ts := NewTimestamps(g, stream, pos, width, nil, 1+trial%3)
+	forEachStreamGraph(42, func(trial int, g *Digraph, stream, pos []int32, width int) {
+		ts := NewTimestamps(g, stream, pos, width, nil)
 		reach := bruteClosure(g)
 		n := g.N()
 		for u := 0; u < n; u++ {
@@ -58,7 +71,7 @@ func TestQuickTimestampsMatchReachability(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // Window must bracket every (event, stream) pair exactly: the events of
@@ -66,11 +79,8 @@ func TestQuickTimestampsMatchReachability(t *testing.T) {
 // reached from x a suffix starting at succPos — verified event by event
 // against the closure.
 func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 150; trial++ {
-		width := 1 + rng.Intn(5)
-		g, stream, pos := randStreamGraph(rng, width, 8, rng.Intn(25))
-		ts := NewTimestamps(g, stream, pos, width, nil, 1+trial%3)
+	forEachStreamGraph(43, func(trial int, g *Digraph, stream, pos []int32, width int) {
+		ts := NewTimestamps(g, stream, pos, width, nil)
 		reach := bruteClosure(g)
 		n := g.N()
 		// node id of stream p, position i — ids are assigned stream-major.
@@ -96,26 +106,7 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// Epochs and clocks must be mutually consistent: v's clock covers u's
-// epoch exactly when u reaches v.
-func TestTimestampsEpochClockConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	g, stream, pos := randStreamGraph(rng, 4, 10, 20)
-	ts := NewTimestamps(g, stream, pos, 4, nil, 1)
-	reach := bruteClosure(g)
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if u == v {
-				continue
-			}
-			if got, want := ts.EpochOf(u).Covered(ts.VCOf(v)), reach[u][v]; got != want {
-				t.Fatalf("EpochOf(%d).Covered(VCOf(%d)) = %v, closure says %v", u, v, got, want)
-			}
-		}
-	}
+	})
 }
 
 func TestTimestampsSizeMismatchPanics(t *testing.T) {
@@ -124,7 +115,7 @@ func TestTimestampsSizeMismatchPanics(t *testing.T) {
 			t.Fatal("no panic for mismatched stream table")
 		}
 	}()
-	NewTimestamps(New(3), []int32{0, 0}, []int32{0, 1}, 1, nil, 1)
+	NewTimestamps(New(3), []int32{0, 0}, []int32{0, 1}, 1, nil)
 }
 
 // NewWithDegrees must behave exactly like New + AddEdge, including when a
@@ -189,99 +180,4 @@ func TestQuickNewWithDegreesMatchesNew(t *testing.T) {
 			}
 		}
 	}
-}
-
-// The clock slabs must be byte-identical for every worker count,
-// including graphs large enough to cross the parallel-fill cutoff. The
-// worker sweep runs under -race in CI, so it also proves the fill's
-// writes are disjoint.
-func TestQuickTimestampsWorkerEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	for trial := 0; trial < 6; trial++ {
-		width := 2 + rng.Intn(5)
-		var g *Digraph
-		var stream, pos []int32
-		for g == nil || g.N() < fillParallelCutoff {
-			g, stream, pos = randStreamGraph(rng, width, 4000, 100+rng.Intn(400))
-		}
-		ref := NewTimestamps(g, stream, pos, width, nil, 1)
-		for _, workers := range []int{2, 3, 8} {
-			ts := NewTimestamps(g, stream, pos, width, nil, workers)
-			if !slices.Equal(ts.fw, ref.fw) || !slices.Equal(ts.bw, ref.bw) {
-				t.Fatalf("trial %d: clock slabs differ between workers=1 and workers=%d", trial, workers)
-			}
-		}
-	}
-}
-
-// The span skeleton must agree with a dense per-component fold on small
-// graphs too — especially cyclic ones, where every SCC member becomes a
-// span boundary.
-func TestQuickTimestampsSpansMatchDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 300; trial++ {
-		width := 1 + rng.Intn(4)
-		g, stream, pos := randStreamGraph(rng, width, 12, rng.Intn(30))
-		ts := NewTimestamps(g, stream, pos, width, nil, 1)
-		fw, bw := denseTimestamps(g, stream, pos, width, ts.scc)
-		if !slices.Equal(ts.fw, fw) || !slices.Equal(ts.bw, bw) {
-			t.Fatalf("trial %d: span-skeleton slabs differ from dense fold", trial)
-		}
-	}
-}
-
-// denseTimestamps is the pre-span reference: fold and push every
-// component row along every cross-component edge, no span derivation.
-func denseTimestamps(g *Digraph, stream, pos []int32, width int, scc *SCC) (fw []uint32, bw []int32) {
-	k := scc.NumComponents()
-	fw = make([]uint32, k*width)
-	bw = make([]int32, k*width)
-	strLen := make([]int32, width)
-	for u := 0; u < g.N(); u++ {
-		if l := pos[u] + 1; l > strLen[stream[u]] {
-			strLen[stream[u]] = l
-		}
-	}
-	for c := k - 1; c >= 0; c-- {
-		row := fw[c*width : (c+1)*width]
-		for _, u := range scc.Members[c] {
-			if e := uint32(pos[u]) + 1; e > row[stream[u]] {
-				row[stream[u]] = e
-			}
-		}
-		for _, u := range scc.Members[c] {
-			for _, v := range g.Succ(u) {
-				if cv := scc.Comp[v]; cv != c {
-					dst := fw[cv*width : (cv+1)*width]
-					for i, x := range row {
-						if x > dst[i] {
-							dst[i] = x
-						}
-					}
-				}
-			}
-		}
-	}
-	for c := 0; c < k; c++ {
-		row := bw[c*width : (c+1)*width]
-		copy(row, strLen)
-		for _, u := range scc.Members[c] {
-			for _, v := range g.Succ(u) {
-				if cv := scc.Comp[v]; cv != c {
-					src := bw[cv*width : (cv+1)*width]
-					for i, x := range src {
-						if x < row[i] {
-							row[i] = x
-						}
-					}
-				}
-			}
-		}
-		for _, u := range scc.Members[c] {
-			if pos[u] < row[stream[u]] {
-				row[stream[u]] = pos[u]
-			}
-		}
-	}
-	return fw, bw
 }

@@ -45,72 +45,6 @@ func (v VC) Join(other VC) {
 	}
 }
 
-// HappensBefore reports whether v ≤ other component-wise and v ≠ other,
-// i.e. whether the event stamped v happens before the event stamped other.
-func (v VC) HappensBefore(other VC) bool {
-	le := true
-	lt := false
-	for i := range v {
-		if v[i] > other[i] {
-			le = false
-			break
-		}
-		if v[i] < other[i] {
-			lt = true
-		}
-	}
-	return le && lt
-}
-
-// Concurrent reports whether neither clock happens before the other —
-// the vector-clock analogue of "not ordered by hb1".
-func (v VC) Concurrent(other VC) bool {
-	return !v.HappensBefore(other) && !other.HappensBefore(v) && !v.Equal(other)
-}
-
-// AtOrBefore reports v ≤ other component-wise: the point stamped v
-// happens before, or is, the point stamped other. This is the reflexive
-// ordering the happens-before-1 timestamp layer queries (a trace event
-// trivially reaches itself).
-func (v VC) AtOrBefore(other VC) bool {
-	if len(other) != len(v) {
-		panic(fmt.Sprintf("vclock: AtOrBefore width mismatch %d vs %d", len(v), len(other)))
-	}
-	for i, x := range v {
-		if x > other[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// OrderedFast reports whether the access stamped by clock v and its own
-// epoch e — e.P the access's processor, e.C = v.Get(e.P) — happens at or
-// before the point stamped other. It is the hot compare of the detector's
-// timestamp layers, structured as an epoch fast path in front of the full
-// scan: e.Covered(other) decides in O(1), and only an uncovered epoch
-// falls through to the O(p) component-wise AtOrBefore.
-//
-// The fast path is exact — agrees with AtOrBefore in both directions —
-// for clock families with the release-tick discipline: a clock's own
-// component advances (Tick) after every export of the clock (release), so
-// each epoch interval is published at most once, at its end, and any
-// observer whose clock covers the epoch transitively joined a state that
-// dominates every stamp taken in that interval. The on-the-fly detector
-// ticks after every operation, and the hb1 timestamp layer's epochs are
-// exact by the program-order prefix structure of its streams; for both,
-// the slow path is unreachable. It is kept as the oracle the agreement
-// tests in this package compare the epoch check against, and as the
-// correct answer for stamps of unknown provenance (clocks that leak
-// mid-interval states disagree with their epochs — see the adversarial
-// cases in the tests).
-func OrderedFast(e Epoch, v, other VC) bool {
-	if e.Covered(other) {
-		return true
-	}
-	return v.AtOrBefore(other)
-}
-
 // Equal reports component-wise equality.
 func (v VC) Equal(other VC) bool {
 	if len(v) != len(other) {
